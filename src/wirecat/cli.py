@@ -8,6 +8,7 @@ invariant), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -133,7 +134,7 @@ def cmd_lie_dim(args):
 
 
 def cmd_trace_dim(args):
-    ts = lie.trace_space_basis(args.n, bound=args.bound)
+    ts = lie.TraceSpace(args.n, bound=args.bound)
     _write(_dump({"n": args.n, "dim": ts.dim,
                   "basis": [list(w) for w in ts.basis]}))
     return 0
@@ -248,8 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused after it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except WirecatError as exc:

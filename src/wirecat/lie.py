@@ -35,19 +35,30 @@ Word = Tuple[int, ...]
 class Eliminator:
     """Incremental Gaussian elimination over sparse rational rows.
 
-    Rows are dicts key -> Fraction; the pivot of a row is its smallest key in
-    ``repr`` order, which makes runs deterministic.
+    Rows are dicts key -> number; reduced and pivot rows hold Fractions.  The
+    pivot of a row is its smallest key in ``repr`` order, which makes runs
+    deterministic; each key's ``repr`` is computed once per eliminator.
+
+    ``add`` keeps U, the union of the supports of the rows offered so far.
+    Every row offered lies in Q^U, so their span has dimension ``rank`` inside
+    Q^U; once ``rank == |U|`` the span is all of Q^U.  From then on a row
+    whose support lies in U is in the span, and ``add`` reports it dependent
+    without reducing it.  A row with a coordinate outside U is reduced as
+    usual.  The pivots and the rank are the same as without the shortcut.
     """
 
     def __init__(self):
         self.pivots: Dict = {}
+        self._support: set = set()
+        self._repr: Dict = {}
 
-    @staticmethod
-    def _pivot_key(row):
-        return min(row, key=repr)
+    def _pivot_key(self, row):
+        return min(row, key=self._repr.__getitem__)
 
     def reduce(self, row):
         row = {k: Fraction(v) for k, v in row.items() if v != 0}
+        for k in row.keys() - self._repr.keys():
+            self._repr[k] = repr(k)
         while row:
             k = self._pivot_key(row)
             if k not in self.pivots:
@@ -55,13 +66,23 @@ class Eliminator:
             piv = self.pivots[k]
             c = row[k] / piv[k]
             for kk, vv in piv.items():
-                row[kk] = row.get(kk, Fraction(0)) - c * vv
-                if row[kk] == 0:
-                    del row[kk]
+                if kk in row:
+                    v = row[kk] - c * vv
+                    if v:
+                        row[kk] = v
+                    else:
+                        del row[kk]
+                else:
+                    row[kk] = -c * vv
         return row
 
     def add(self, row) -> bool:
         """Insert a row; True if it was independent of the rows so far."""
+        support = [k for k, v in row.items() if v != 0]
+        if self.rank == len(self._support) \
+                and self._support.issuperset(support):
+            return False
+        self._support.update(support)
         row = self.reduce(row)
         if not row:
             return False
@@ -89,13 +110,11 @@ def _check_multilinear(t):
 
 
 def _combine(terms_a, bracket_with):
-    out: Dict[Word, Fraction] = {}
+    out: Dict[Word, int] = {}
     for w, c in terms_a:
         for w2, c2 in bracket_with(w):
-            out[w2] = out.get(w2, Fraction(0)) + c * c2
-            if out[w2] == 0:
-                del out[w2]
-    return tuple(sorted(out.items()))
+            out[w2] = out.get(w2, 0) + c * c2
+    return tuple(sorted((w, c) for w, c in out.items() if c))
 
 
 @lru_cache(maxsize=None)
@@ -105,16 +124,17 @@ def _bw(u: Word, v: Word):
     The recursion keeps the overall largest letter in the right argument
     (flipping by antisymmetry once if needed) and shrinks the left word by
     the Jacobi identity, so it terminates and every output word is basis.
+    Coefficients are integers: both rules only add and negate.
     """
     if len(u) == 1 and len(v) == 1:
         a, b = u[0], v[0]
         if a == b:
             return ()
-        return (((a, b), Fraction(1)),) if a < b else (((b, a), Fraction(-1)),)
+        return (((a, b), 1),) if a < b else (((b, a), -1),)
     if u[-1] > v[-1]:
         return tuple((w, -c) for w, c in _bw(v, u))
     if len(u) == 1:
-        return (((u[0],) + v, Fraction(1)),)
+        return (((u[0],) + v, 1),)
     # [u, v] = [u1,[U,v]] - [U,[u1,v]] with u = [u1, U]
     u1, rest = u[0], u[1:]
     t1 = _combine(_bw(rest, v), lambda w: _bw((u1,), w))
@@ -125,47 +145,42 @@ def _bw(u: Word, v: Word):
 def _merge(a, b):
     out = dict(a)
     for w, c in b:
-        out[w] = out.get(w, Fraction(0)) + c
-        if out[w] == 0:
-            del out[w]
-    return tuple(sorted(out.items()))
+        out[w] = out.get(w, 0) + c
+    return tuple(sorted((w, c) for w, c in out.items() if c))
+
+
+def _nf(t) -> Dict[Word, int]:
+    """Normal-form coordinates of a bracket tree, with int coefficients."""
+    if isinstance(t, int):
+        return {(t,): 1}
+    l, r = t
+    right = _nf(r).items()
+    out: Dict[Word, int] = {}
+    for wl, cl in _nf(l).items():
+        for wr, cr in right:
+            c = cl * cr
+            for w, cc in _bw(wl, wr):
+                out[w] = out.get(w, 0) + c * cc
+    return {w: c for w, c in out.items() if c}
 
 
 def nf(t) -> Dict[Word, Fraction]:
     """Normal-form coordinates of a bracket tree."""
-    if isinstance(t, int):
-        return {(t,): Fraction(1)}
-    l, r = t
-    terms = []
-    for wl, cl in nf(l).items():
-        for wr, cr in nf(r).items():
-            for w, c in _bw(wl, wr):
-                terms.append((w, cl * cr * c))
-    out: Dict[Word, Fraction] = {}
-    for w, c in terms:
-        out[w] = out.get(w, Fraction(0)) + c
-        if out[w] == 0:
-            del out[w]
-    return out
+    return {w: Fraction(c) for w, c in _nf(t).items()}
 
 
 def normalize(trees) -> Dict[Word, Fraction]:
     """Normalize a tree or a {tree-or-key: coefficient} combination."""
-    if isinstance(trees, (int, tuple)) and not _is_combo(trees):
+    if isinstance(trees, (int, tuple)):
         _check_multilinear(trees)
         return nf(trees)
     out: Dict[Word, Fraction] = {}
     for t, c in trees.items():
         _check_multilinear(t)
-        for w, cc in nf(t).items():
-            out[w] = out.get(w, Fraction(0)) + Fraction(c) * cc
-            if out[w] == 0:
-                del out[w]
-    return out
-
-
-def _is_combo(x):
-    return isinstance(x, dict)
+        c = Fraction(c)
+        for w, cc in _nf(t).items():
+            out[w] = out.get(w, 0) + c * cc
+    return {w: c for w, c in out.items() if c}
 
 
 def basis_words(n: int) -> List[Word]:
@@ -203,7 +218,7 @@ def lie_dim(n: int, bound: Optional[int] = None) -> int:
     elim = Eliminator()
     for perm in itertools.permutations(range(1, n + 1)):
         for t in all_trees(perm):
-            elim.add(nf(t))
+            elim.add(_nf(t))
     return elim.rank
 
 
@@ -242,12 +257,10 @@ def _relation_row(p_tree, q_tree, n1, m1):
         return a  # the traced letter n+1
 
     w2 = _map_letters(w2, beta)
-    row = nf(w1)
-    for w, c in nf(w2).items():
-        row[w] = row.get(w, Fraction(0)) - c
-        if row[w] == 0:
-            del row[w]
-    return row
+    row = _nf(w1)
+    for w, c in _nf(w2).items():
+        row[w] = row.get(w, 0) - c
+    return {w: c for w, c in row.items() if c}
 
 
 class TraceSpace:
@@ -280,14 +293,12 @@ class TraceSpace:
     def _closed(row, n):
         """All letter-permuted copies of a relation row."""
         for sigma in itertools.permutations(range(1, n + 1)):
-            table = {a: b for a, b in zip(range(1, n + 1), sigma)}
-            table[n + 1] = n + 1
-            out: Dict[Word, Fraction] = {}
+            table = tuple(zip(range(1, n + 2), sigma + (n + 1,)))
+            out: Dict[Word, int] = {}
             for w, c in row.items():
-                for w2, c2 in _bw_apply_perm(w, table).items():
-                    out[w2] = out.get(w2, Fraction(0)) + c * c2
-                    if out[w2] == 0:
-                        del out[w2]
+                for w2, c2 in _perm_cache(w, table):
+                    out[w2] = out.get(w2, 0) + c * c2
+            out = {w: c for w, c in out.items() if c}
             if out:
                 yield out
 
@@ -322,15 +333,7 @@ class TraceSpace:
 def _perm_cache(word, table_items):
     table = dict(table_items)
     tree = _map_letters(word_to_tree(word), lambda a: table[a])
-    return tuple(sorted(nf(tree).items()))
-
-
-def _bw_apply_perm(word, table):
-    return dict(_perm_cache(word, tuple(sorted(table.items()))))
-
-
-def trace_space_basis(n: int, bound: Optional[int] = None) -> TraceSpace:
-    return TraceSpace(n, bound=bound)
+    return tuple(sorted(_nf(tree).items()))
 
 
 # -- Killing forms ------------------------------------------------------------
@@ -456,6 +459,7 @@ def wheeled_dim(n: int, m: int, bound: Optional[int] = None) -> int:
     blocks and any number of nonempty unordered trace blocks, multiplying
     word-space and trace-space dimensions.
     """
+    lie_dims = {}
     trace_dims = {}
     total = 0
     letters = list(range(1, n + 1))
@@ -469,7 +473,10 @@ def wheeled_dim(n: int, m: int, bound: Optional[int] = None) -> int:
                             if k not in word_blocks]
             prod = 1
             for k in word_blocks:
-                prod *= lie_dim(len(blocks[k]), bound)
+                nb = len(blocks[k])
+                if nb not in lie_dims:
+                    lie_dims[nb] = lie_dim(nb, bound)
+                prod *= lie_dims[nb]
             for b in trace_blocks:
                 nb = len(b)
                 if nb not in trace_dims:

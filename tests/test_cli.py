@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from wirecat import graphs, lie, wiring, wprop
+from wirecat import cli, graphs, lie, wiring, wprop
 from wirecat.sampling import random_decorated_element, random_wiring_diagram
 
 
@@ -145,6 +145,51 @@ def test_lie_and_trace_dims():
     assert rep["dim"] == 1
     rc, _, err = run(["lie-dim", "9"])
     assert rc == 1 and json.loads(err)["error"] == "BoundExceeded"
+
+
+# Standard output of `wirecat trace-dim n` and `wirecat lie-dim n`.  A trace
+# basis is the set of symbols the pivots leave out, listed in symbol order, so
+# a change in the eliminator's pivot order shows here.
+CLI_GOLDENS = {
+    ('trace-dim', '0'): '{"basis":[[1]],"dim":1,"n":0}\n',
+    ('trace-dim', '1'): '{"basis":[[1,2]],"dim":1,"n":1}\n',
+    ('trace-dim', '2'): '{"basis":[[2,1,3]],"dim":1,"n":2}\n',
+    ('trace-dim', '3'): '{"basis":[[3,1,2,4],[3,2,1,4]],"dim":2,"n":3}\n',
+    ('trace-dim', '4'): (
+        '{"basis":[[4,1,2,3,5],[4,1,3,2,5],[4,2,1,3,5],[4,2,3,1,5],'
+        '[4,3,1,2,5],[4,3,2,1,5]],"dim":6,"n":4}\n'
+    ),
+    ('trace-dim', '5'): (
+        '{"basis":[[5,1,2,3,4,6],[5,1,2,4,3,6],[5,1,3,2,4,6],'
+        '[5,1,3,4,2,6],[5,1,4,2,3,6],[5,1,4,3,2,6],[5,2,1,3,4,6],'
+        '[5,2,1,4,3,6],[5,2,3,1,4,6],[5,2,3,4,1,6],[5,2,4,1,3,6],'
+        '[5,2,4,3,1,6],[5,3,1,2,4,6],[5,3,1,4,2,6],[5,3,2,1,4,6],'
+        '[5,3,2,4,1,6],[5,3,4,1,2,6],[5,3,4,2,1,6],[5,4,1,2,3,6],'
+        '[5,4,1,3,2,6],[5,4,2,1,3,6],[5,4,2,3,1,6],[5,4,3,1,2,6],'
+        '[5,4,3,2,1,6]],"dim":24,"n":5}\n'
+    ),
+    ('lie-dim', '2'): '{"dim":1,"n":2}\n',
+    ('lie-dim', '3'): '{"dim":2,"n":3}\n',
+    ('lie-dim', '4'): '{"dim":6,"n":4}\n',
+    ('lie-dim', '5'): '{"dim":24,"n":5}\n',
+    ('lie-dim', '6'): '{"dim":120,"n":6}\n',
+}
+
+
+@pytest.mark.parametrize("args", list(CLI_GOLDENS), ids="-".join)
+def test_lie_and_trace_dim_goldens(args, capsys):
+    assert cli.main(list(args)) == 0
+    assert capsys.readouterr().out == CLI_GOLDENS[args]
+
+
+def test_parser_reused_across_calls(capsys):
+    assert cli.main(["lie-dim", "3"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compose"])
+    assert exc.value.code == 2
+    assert cli.main(["trace-dim", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out == CLI_GOLDENS[("lie-dim", "3")] + CLI_GOLDENS[("trace-dim", "1")]
 
 
 def test_killing_and_semisimple(tmp_path):

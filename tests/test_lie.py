@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -20,7 +21,6 @@ from wirecat.lie import (
     semisimple_witness,
     sl2_bracket,
     solvable2_bracket,
-    trace_space_basis,
     wheeled_dim,
     word_to_tree,
     zero_bracket,
@@ -140,6 +140,16 @@ def test_normalize_combination_and_multilinearity():
         normalize({((1, 2), 1): 1})
 
 
+def test_nf_and_normalize_values_are_fractions():
+    t = (((1, 3), 2), (4, 5))
+    for coords in (nf(t), normalize(t), normalize({t: 2, (5, (1, 2)): 1}),
+                   normalize({t: Fraction(1, 3)})):
+        assert coords
+        assert all(type(c) is Fraction for c in coords.values())
+    assert normalize({t: Fraction(1, 3)}) == {
+        w: c / 3 for w, c in nf(t).items()}
+
+
 def test_nf_lands_in_right_normed_basis():
     rng = random.Random(62)
     for _ in range(40):
@@ -152,7 +162,7 @@ def test_nf_lands_in_right_normed_basis():
 
 
 def test_lie_dim_factorial_and_oracle():
-    for n in range(2, 6):
+    for n in range(2, 7):
         want = 1
         for k in range(1, n):
             want *= k
@@ -171,15 +181,15 @@ def test_lie_dim_bound():
 # -- trace spaces -------------------------------------------------------------
 
 def test_trace_space_small_dims():
-    assert trace_space_basis(0).dim == 1
-    assert trace_space_basis(1).dim == 1
-    assert trace_space_basis(2).dim == 1
-    assert trace_space_basis(3).dim == 2
+    assert TraceSpace(0).dim == 1
+    assert TraceSpace(1).dim == 1
+    assert TraceSpace(2).dim == 1
+    assert TraceSpace(3).dim == 2
 
 
 def test_trace_space_bound():
     with pytest.raises(BoundExceeded):
-        trace_space_basis(7)
+        TraceSpace(7)
 
 
 def test_trace_space_stable_under_instance_doubling():
@@ -297,3 +307,79 @@ def test_wheeled_dim_mixed():
     # n=2, m=1: word block {12} (dim 1, 1 choice? two letters one block:
     # lie_dim(2)=1) + word {1}/trace {2} + word {2}/trace {1} -> 3.
     assert wheeled_dim(2, 1) == 3
+
+
+def stirling1(n, k):
+    """Unsigned Stirling number of the first kind c(n, k)."""
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return (n - 1) * stirling1(n - 1, k) + stirling1(n - 1, k - 1)
+
+
+def test_wheeled_dim_counts_permutations_by_cycles():
+    # Word and trace blocks of size k both contribute (k-1)!, so the total
+    # counts permutations of n+1 points with m+1 cycles, word blocks ordered.
+    for n in range(0, 6):
+        for m in range(0, n + 1):
+            want = math.factorial(m) * stirling1(n + 1, m + 1)
+            assert wheeled_dim(n, m) == want, (n, m)
+
+
+# -- the eliminator's saturation shortcut --------------------------------------
+
+class PlainEliminator(Eliminator):
+    """Reference: reduces every row offered, without the shortcut."""
+
+    def add(self, row):
+        row = self.reduce(row)
+        if not row:
+            return False
+        self.pivots[self._pivot_key(row)] = row
+        return True
+
+
+class CountingEliminator(Eliminator):
+    def __init__(self):
+        super().__init__()
+        self.reductions = 0
+
+    def reduce(self, row):
+        self.reductions += 1
+        return super().reduce(row)
+
+
+def test_saturation_skips_rows_inside_a_full_span():
+    rng = random.Random(66)
+    elim = CountingEliminator()
+    plain = PlainEliminator()
+    keys = [(1,), (1, 2), 3, "x"]
+    rows = [{k: Fraction(rng.randint(-3, 3)) for k in keys} for _ in range(30)]
+    for row in rows:
+        assert elim.add(row) == plain.add(row)
+    assert elim.rank == plain.rank == len(keys)
+    assert elim.pivots == plain.pivots
+    # Saturated: rows over the same keys are dependent and not reduced.
+    before = elim.reductions
+    assert not elim.add({(1, 2): 5, 3: -1})
+    assert not elim.add({})
+    assert elim.reductions == before
+    # A row with a coordinate no earlier row had is still independent.
+    assert elim.add({(1,): 1, (2,): 1})
+    assert elim.rank == len(keys) + 1
+    assert elim.reduce({(2,): 7}) == {}
+
+
+def test_saturation_leaves_rank_and_pivots_unchanged(monkeypatch):
+    fast = {n: TraceSpace(n) for n in range(0, 5)}
+    ranks = {n: lie_dim(n) for n in range(1, 6)}
+    monkeypatch.setattr(lie, "Eliminator", PlainEliminator)
+    for n in range(0, 5):
+        plain = TraceSpace(n)
+        assert isinstance(plain._elim, PlainEliminator)
+        assert plain.basis == fast[n].basis
+        assert list(plain._elim.pivots.items()) == \
+            list(fast[n]._elim.pivots.items())
+    for n in range(1, 6):
+        assert lie_dim(n) == ranks[n]
