@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import random
 import subprocess
@@ -6,7 +8,13 @@ import sys
 import pytest
 
 from wirecat import cli, graphs, lie, wiring, wprop
-from wirecat.sampling import random_decorated_element, random_wiring_diagram
+from wirecat.sampling import (
+    random_composable_pair,
+    random_decorated_element,
+    random_graph,
+    random_graph_with_boundary,
+    random_wiring_diagram,
+)
 
 
 def run(args, inp=None):
@@ -180,6 +188,61 @@ CLI_GOLDENS = {
 def test_lie_and_trace_dim_goldens(args, capsys):
     assert cli.main(list(args)) == 0
     assert capsys.readouterr().out == CLI_GOLDENS[args]
+
+
+# sha256 of the standard output of ten seeded calls (seeds 0..9) of each
+# command below.  Flag ids, matching order and term order in that output come
+# from how the glued strands are resolved and named, so a change there shows.
+STRAND_GOLDENS = {
+    "compose": "4aa416b4b5482722437d60f614c7c5fb738cc4d84aeeda746108e4ffa27f9ffb",
+    "substitute": "fc490971f9e0d1faa5913ab65d31613781c98822701373de994827170dc064ae",
+    "flatten": "5e26542bd6929372f0a0ea3e7163f39d33f43de0ac48990f3657b0cf2d2f142c",
+    "compose-free": "e57e7bc3b65619af76c22dc1a75dd1352cd7c143b4f537953ace30ba27d2b945",
+}
+
+
+def strand_argv(cmd, rng, put):
+    """Arguments for one seeded call of ``cmd``; ``put`` writes an input file."""
+    if cmd == "compose":
+        outer, at, inner = random_composable_pair(rng)
+        return ["compose", "--at", str(at), put(wiring.to_json(outer)),
+                put(wiring.to_json(inner))]
+    if cmd == "substitute":
+        g = random_graph(rng, max_vertices=4)
+        while not g.r:
+            g = random_graph(rng, max_vertices=4)
+        v = rng.randint(1, g.r)
+        ins, outs = g.neighbourhood(v)
+        h = random_graph_with_boundary(rng, sorted(ins), sorted(outs))
+        return ["substitute", "--at", str(v), put(graphs.to_json(g)),
+                put(graphs.to_json(h))]
+    if cmd == "flatten":
+        g = random_graph(rng)
+        inner = [random_decorated_element(rng, sorted(ins), sorted(outs))
+                 for ins, outs in (g.neighbourhood(k + 1) for k in range(g.r))]
+        return ["flatten", put(graphs.to_json(g))] + [
+            put(wprop.to_json(e)) for e in inner]
+    a = random_decorated_element(rng, ["p0", "p1"], ["q0"])
+    b = random_decorated_element(rng, ["r0"], ["s0", "s1"])
+    return ["compose-free", "--at-in", rng.choice(["p0", "p1"]),
+            "--at-out", rng.choice(["s0", "s1"]),
+            put(wprop.to_json(a)), put(wprop.to_json(b))]
+
+
+@pytest.mark.parametrize("cmd", list(STRAND_GOLDENS))
+def test_strand_command_goldens(cmd, tmp_path, capsys):
+    paths = itertools.count()
+
+    def put(text):
+        path = tmp_path / ("%d.json" % next(paths))
+        path.write_text(text)
+        return str(path)
+
+    digest = hashlib.sha256()
+    for seed in range(10):
+        assert cli.main(strand_argv(cmd, random.Random(seed), put)) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == STRAND_GOLDENS[cmd]
 
 
 def test_parser_reused_across_calls(capsys):
