@@ -48,6 +48,8 @@ class Tensor:
     __slots__ = ("dim", "axes", "data")
 
     def __init__(self, dim: int, axes, data):
+        if not isinstance(dim, int) or dim < 1:
+            raise DimMismatch("dimension %r is not a positive integer" % (dim,))
         axes = [tuple(a) for a in axes]
         if len(set(axes)) != len(axes):
             raise LabelClash("duplicate axis keys in %r" % (axes,))

@@ -82,7 +82,8 @@ class UnknownAxis(WirecatError):
 
 
 class DimMismatch(WirecatError):
-    """Tensors of different base dimension were combined."""
+    """A base dimension is not a positive integer, or tensors of different
+    base dimension were combined."""
 
 
 class SizeCapExceeded(WirecatError):

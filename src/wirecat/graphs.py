@@ -10,14 +10,15 @@ and ``beta`` labels boundary flags.
 
 Strict isomorphism renames flags only; loose isomorphism may additionally
 permute the vertex order.  Substitution replaces a vertex by a graph with
-matching boundary, resolving the glued strands by chain-following.
+matching boundary and resolves the glued strands with
+``wiring.resolve_strands``.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import os
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     BoundaryMismatch,
@@ -25,6 +26,7 @@ from .errors import (
     TooManyVertices,
     UnknownVertex,
 )
+from .wiring import resolve_strands
 
 DEFAULT_BRUTE_FORCE_BOUND = 8
 
@@ -171,18 +173,6 @@ class DirectedGraph:
 
     def __repr__(self):
         return "DirectedGraph(r=%d, loops=%d)" % (self.r, self.loop_count)
-
-
-def neighbourhood(g: DirectedGraph, v: int):
-    return g.neighbourhood(v)
-
-
-def boundary(g: DirectedGraph):
-    return g.boundary()
-
-
-def validate(g: DirectedGraph):
-    return g.validate()
 
 
 # -- canonical forms ---------------------------------------------------------
@@ -384,28 +374,6 @@ def substitute(g: DirectedGraph, v: int, h: DirectedGraph) -> DirectedGraph:
         for f, m in gr.pi.items():
             link[(side, f)] = (side, m)
 
-    # Terminals anchor strand ends.  A terminal is either a vertex flag of a
-    # kept vertex (of g or h) or a boundary end carrying a beta label of g.
-    def terminal(node):
-        side, f = node
-        if side == "H":
-            if f in h._vertex_of:
-                return ("vertex", node)
-            return None  # exceptional flags of h are pass-throughs
-        if f in removed:
-            if g.iota.get(f, f) == f:
-                return ("bnd", g.delta[f], g.beta[f])
-            return None
-        if f in g._vertex_of:
-            return ("vertex", node)
-        return ("bnd", g.delta[f], g.beta[f])  # exceptional flag of g
-
-    def step(node, prev):
-        for nxt in (link.get(node), glue.get(node)):
-            if nxt is not None and nxt != prev:
-                return nxt
-        return None
-
     # New flag ids for kept vertex flags.
     fresh = itertools.count()
     new_id = {}
@@ -424,73 +392,31 @@ def substitute(g: DirectedGraph, v: int, h: DirectedGraph) -> DirectedGraph:
             cell.append(nf)
         vertices.append(cell)
 
-    # Walk every strand from each terminal.
-    terminals = [("G", f) for i in range(g.r) if i != v - 1
-                 for f in sorted(g.vertices[i], key=repr)]
-    terminals += [("H", f) for i in range(h.r)
-                  for f in sorted(h.vertices[i], key=repr)]
-    terminals += [("G", f) for f in sorted(g.exceptional, key=repr)]
-    terminals += [("G", f) for f in sorted(removed, key=repr)
-                  if g.iota.get(f, f) == f]
-    done = set()
+    # Strands end at kept vertex flags (of g or h) or at boundary ends of g:
+    # its free-edge flags and the iota-fixed legs of the removed vertex.
+    # Exceptional flags of h and internal flags of the removed vertex are
+    # passed through.  Free edges of the result take fresh ids in walk order.
+    ends = list(new_id) + [("G", f) for f in sorted(g.exceptional, key=repr)]
+    ends += [("G", f) for f in sorted(removed, key=repr)
+             if g.iota.get(f, f) == f]
+    strands, closed = resolve_strands(link, glue, ends)
     exceptional = []
-    visited_through = set()
-    for node in terminals:
-        t = terminal(node)
-        if node in done:
-            continue
-        done.add(node)
-        prev, cur = node, step(node, None)
-        if cur is None:
-            # Length-zero strand: a kept boundary leg of g.
-            side, f = node
-            nf = new_id[(side, f)]
-            beta[nf] = (g if side == "G" else h).beta[f]
-            continue
-        while terminal(cur) is None:
-            visited_through.add(cur)
-            prev, cur = cur, step(cur, prev)
-        done.add(cur)
-        t2 = terminal(cur)
-        ends = []
-        for tt, nd in ((t, node), (t2, cur)):
-            ends.append((tt, nd))
-        kinds = sorted(e[0][0] for e in ends)
-        if kinds == ["vertex", "vertex"]:
-            a = new_id[ends[0][1]]
-            b = new_id[ends[1][1]]
-            iota[a], iota[b] = b, a
-        elif kinds == ["bnd", "vertex"]:
-            for tt, nd in ends:
-                if tt[0] == "vertex":
-                    nf = new_id[nd]
-                else:
-                    _, _, lab = tt
-            beta[nf] = lab
+    for a, b in strands:
+        if a == b:  # a kept boundary leg of g
+            beta[new_id[a]] = g.beta[a[1]]
+        elif a in new_id and b in new_id:
+            iota[new_id[a]], iota[new_id[b]] = new_id[b], new_id[a]
+        elif a in new_id or b in new_id:
+            flag, leg = (a, b) if a in new_id else (b, a)
+            beta[new_id[flag]] = g.beta[leg[1]]
         else:  # two boundary ends: a free edge of the result
-            a, b = next(fresh), next(fresh)
-            for nf, (tt, _) in zip((a, b), ends):
-                _, sign, lab = tt
-                delta[nf] = sign
-                beta[nf] = lab
-            pi[a], pi[b] = b, a
-            exceptional += [a, b]
+            ids = next(fresh), next(fresh)
+            for nf, (_, f) in zip(ids, (a, b)):
+                delta[nf] = g.delta[f]
+                beta[nf] = g.beta[f]
+            pi[ids[0]], pi[ids[1]] = ids[1], ids[0]
+            exceptional += ids
 
-    # Strands that touch no terminal are closed: they become free loops.
-    closed = 0
-    pass_nodes = {n for n in set(list(glue) + list(link)) - visited_through
-                  if terminal(n) is None and n not in done}
-    while pass_nodes:
-        closed += 1
-        start = pass_nodes.pop()
-        prev, cur = start, step(start, None)
-        while cur != start:
-            pass_nodes.discard(cur)
-            prev, cur = cur, step(cur, prev)
-
-    # Kept vertex flags whose strand never got walked (iota-fixed legs of h
-    # never appear because all of h's boundary is glued; iota-fixed legs of g
-    # on kept vertices are length-zero strands handled above).
     return DirectedGraph(vertices, exceptional, iota, pi, delta, lam, beta,
                          g.loop_count + h.loop_count + closed)
 
@@ -529,6 +455,18 @@ def to_obj(g: DirectedGraph):
 
 
 def from_obj(obj) -> DirectedGraph:
+    if not isinstance(obj, dict):
+        raise InvalidGraph(["NotAnObject: a graph is a JSON object, not %s"
+                            % type(obj).__name__])
+    vertices = obj.get("vertices", [])
+    exceptional = obj.get("exceptional", [])
+    if not (isinstance(vertices, list) and isinstance(exceptional, list)
+            and all(isinstance(v, list) for v in vertices)):
+        raise InvalidGraph(["NotAFlagList: vertices must be a list of flag "
+                            "lists and exceptional a flag list"])
+    for f in itertools.chain(exceptional, *vertices):
+        if isinstance(f, (list, dict)):
+            raise InvalidGraph(["UnhashableFlag: flag %r" % (f,)])
     iota = {}
     for a, b in obj.get("iota", []):
         iota[a], iota[b] = b, a
@@ -542,8 +480,8 @@ def from_obj(obj) -> DirectedGraph:
             raise InvalidGraph(["OddLoopFlags: %d loop flags" % loop_flags])
         loops += loop_flags // 2
     return DirectedGraph(
-        obj.get("vertices", []),
-        obj.get("exceptional", []),
+        vertices,
+        exceptional,
         iota, pi,
         {f: d for f, d in obj.get("delta", [])},
         {f: l for f, l in obj.get("lambda", [])},

@@ -5,9 +5,10 @@ interfaces (boxes 1..r), a perfect matching between all out-endpoints and all
 in-endpoints, and a count of closed circles.  Endpoints are
 ``(box, polarity, label)`` triples, which keeps non-disjoint label sets safe.
 
-Composition glues one diagram into an input box of another and resolves the
-resulting strands by chain-following; chains that close up contribute to the
-circle count.
+Composition glues one diagram into an input box of another and follows the
+resulting strands with ``resolve_strands``, the strand walk that graph
+substitution and free-prop contraction share; strands that close up
+contribute to the circle count.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from .errors import (
     InterfaceMismatch,
     NegativeCircles,
     NonBijectiveMatching,
+    NotABijection,
 )
 
 OUT = "out"
@@ -146,13 +148,14 @@ class WiringDiagram:
         glue = {}
         for a in inner.out_labels:
             glue[("L", (i, OUT, a))] = ("R", (0, IN, a))
-            glue[("R", (0, IN, a))] = ("L", (i, OUT, a))
         for a in inner.in_labels:
             glue[("L", (i, IN, a))] = ("R", (0, OUT, a))
-            glue[("R", (0, OUT, a))] = ("L", (i, IN, a))
+        glue.update({b: a for a, b in glue.items()})
 
-        match = {("L", e): ("L", f) for e, f in self.matching.items()}
-        match.update({("R", e): ("R", f) for e, f in other.matching.items()})
+        link = {}
+        for side, d in (("L", self), ("R", other)):
+            for e, f in d.matching.items():
+                link[(side, e)], link[(side, f)] = (side, f), (side, e)
 
         s = other.r
 
@@ -164,38 +167,57 @@ class WiringDiagram:
                 new = i - 1 + box
             return (new, pol, label)
 
+        strands, closed = resolve_strands(
+            link, glue, [e for e in link if e not in glue])
         new_matching: Dict[Endpoint, Endpoint] = {}
-        crossed = set()
-        for start in sorted(match, key=repr):
-            if start in glue:
-                continue
-            cur = match[start]
-            while cur in glue:
-                hop = glue[cur]
-                crossed.add(hop)
-                cur = match[hop]
-            new_matching[renumber(start)] = renumber(cur)
-
-        closed = 0
-        remaining = {e for e in match if e in glue and e not in crossed}
-        while remaining:
-            closed += 1
-            start = remaining.pop()
-            cur = match[start]
-            while True:
-                hop = glue[cur]
-                if hop == start:
-                    break
-                remaining.discard(hop)
-                cur = match[hop]
+        for a, b in strands:  # each joins an out- and an in-endpoint
+            src, dst = (a, b) if a[1][1] == OUT else (b, a)
+            new_matching[renumber(src)] = renumber(dst)
 
         new_inputs = self.inputs[:i - 1] + other.inputs + self.inputs[i:]
         return WiringDiagram(self.output, new_inputs, new_matching,
                              self.circles + other.circles + closed)
 
 
-def compose(d: WiringDiagram, i: int, d2: WiringDiagram) -> WiringDiagram:
-    return d.compose(i, d2)
+def resolve_strands(link: Mapping, glue: Mapping, ends: Iterable):
+    """Follow the strands that two pairings of nodes make.
+
+    ``link`` and ``glue`` each map a node to its partner, in both directions.
+    A strand starts at a node of ``ends``, hops along the map that holds it,
+    then alternates between the two maps, and stops at the first node the
+    next map does not hold.  The hops alternate explicitly: a free edge glued
+    to itself has ``link`` and ``glue`` agree on both of its nodes.  Every
+    node of ``link`` that no such strand reaches must lie on a closed strand.
+
+    Returns ``(strands, closed)``: ``strands`` holds one ``(first, last)``
+    pair per strand, in the order of ``first`` in ``ends``, where an end on
+    neither map is the strand ``(e, e)``; ``closed`` counts the strands that
+    close up without reaching an end.
+    """
+    walked = set()
+    strands = []
+    for start in ends:
+        if start in walked:
+            continue
+        hop, nxt = (link, glue) if start in link else (glue, link)
+        cur = start
+        walked.add(cur)
+        while cur in hop:
+            cur = hop[cur]
+            walked.add(cur)
+            hop, nxt = nxt, hop
+        strands.append((start, cur))
+    closed = 0
+    for node in link:
+        if node in walked:
+            continue
+        closed += 1
+        cur = node
+        while cur not in walked:
+            mate = link[cur]
+            walked.update((cur, mate))
+            cur = glue[mate]
+    return strands, closed
 
 
 def identity_diagram(s: Iterable[str], t: Iterable[str]) -> WiringDiagram:
@@ -219,21 +241,15 @@ def permutation_diagram(sigma: Mapping[str, str], tau: Mapping[str, str]) -> Wir
     s = frozenset(sigma)
     t = frozenset(tau)
     if frozenset(sigma.values()) != s or frozenset(tau.values()) != t:
-        raise NotABijectionError(sigma, tau)
+        raise NotABijection("sigma=%r tau=%r" % (sigma, tau))
     matching = {(0, OUT, sigma[a]): (1, IN, a) for a in s}
     matching.update({(1, OUT, b): (0, IN, tau[b]) for b in t})
     return WiringDiagram(Interface(s, t), [Interface(t, s)], matching, 0)
 
 
-def NotABijectionError(sigma, tau):
-    from .errors import NotABijection
-    return NotABijection("sigma=%r tau=%r" % (sigma, tau))
-
-
 def renumber_inputs(d: WiringDiagram, sigma: Mapping[int, int]) -> WiringDiagram:
     """Re-number input boxes; ``sigma`` maps old index to new index (1-based)."""
     if sorted(sigma) != list(range(1, d.r + 1)) or sorted(sigma.values()) != list(range(1, d.r + 1)):
-        from .errors import NotABijection
         raise NotABijection("not a permutation of 1..%d: %r" % (d.r, sigma))
     new_inputs = [None] * d.r
     for old, new in sigma.items():

@@ -14,10 +14,12 @@ defining laws against any implementation.
 from __future__ import annotations
 
 import itertools
+import json
+import random
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from . import endo
+from . import endo, graphs
 from .errors import (
     ArityMismatch,
     BoundaryMismatch,
@@ -28,7 +30,6 @@ from .errors import (
 )
 from .graphs import (
     DirectedGraph,
-    canonical_form,
     corolla,
     free_edge,
     free_loop,
@@ -36,7 +37,7 @@ from .graphs import (
     substitute_all,
 )
 from .translate import wd_to_graph
-from .wiring import IN, OUT, WiringDiagram
+from .wiring import IN, OUT, WiringDiagram, resolve_strands
 
 #: A vertex decoration: (generator symbol, in-labels in slot order, out-labels
 #: in slot order).  The label tuples fix how the vertex's flags fill the
@@ -57,11 +58,6 @@ class Signature:
 
     def __repr__(self):
         return "Signature(%r)" % (self.arities,)
-
-
-def _term_key(graph: DirectedGraph, decor: Sequence[Decoration],
-              bound: Optional[int] = None):
-    return loose_canonical_form(graph, list(decor), bound=bound)
 
 
 class FreeElement:
@@ -88,7 +84,7 @@ class FreeElement:
                 % (graph.boundary(), (self.in_labels, self.out_labels)))
         if len(decor) != graph.r:
             raise ArityMismatch("%d decorations for %d vertices" % (len(decor), graph.r))
-        key = _term_key(graph, decor)
+        key = loose_canonical_form(graph, list(decor))
         if key in self.terms:
             c = self.terms[key][0] + coeff
             if c == 0:
@@ -193,8 +189,9 @@ def _disjoint_union(g: DirectedGraph, h: DirectedGraph) -> DirectedGraph:
 
 def _glue_boundary(g: DirectedGraph, i, j) -> DirectedGraph:
     """Glue the incoming boundary leg ``i`` to the outgoing leg ``j``."""
+    legs = g.boundary_flags()
     f_in = f_out = None
-    for f in g.boundary_flags():
+    for f in legs:
         if g.delta[f] == 1 and g.beta[f] == i:
             f_in = f
         if g.delta[f] == -1 and g.beta[f] == j:
@@ -202,48 +199,26 @@ def _glue_boundary(g: DirectedGraph, i, j) -> DirectedGraph:
     if f_in is None or f_out is None:
         raise UnknownLabel("no boundary pair (%r in, %r out)" % (i, j))
 
-    iota = dict(g.iota)
-    pi = dict(g.pi)
-    delta = dict(g.delta)
-    beta = dict(g.beta)
-    exceptional = set(g.exceptional)
-    loops = g.loop_count
-    in_vertex = f_in in g._vertex_of
-    out_vertex = f_out in g._vertex_of
-
-    if in_vertex and out_vertex:
-        iota[f_in], iota[f_out] = f_out, f_in
-        del beta[f_in], beta[f_out]
-    elif in_vertex and not out_vertex:
-        m = pi.pop(f_out)
-        del pi[m]
-        beta[f_in] = beta[m]
-        for f in (f_out, m):
-            exceptional.discard(f)
-            del beta[f], delta[f]
-    elif out_vertex and not in_vertex:
-        m = pi.pop(f_in)
-        del pi[m]
-        beta[f_out] = beta[m]
-        for f in (f_in, m):
-            exceptional.discard(f)
-            del beta[f], delta[f]
-    else:
-        if pi[f_in] == f_out:
-            loops += 1
-            del pi[f_in], pi[f_out]
-            for f in (f_in, f_out):
-                exceptional.discard(f)
-                del beta[f], delta[f]
+    # Strands run between boundary flags other than the glued free-edge flags,
+    # which are passed through.  Surviving flags keep their ids.
+    glue = {f_in: f_out, f_out: f_in}
+    ends = [f for f in legs if f not in glue or f in g._vertex_of]
+    strands, closed = resolve_strands(g.pi, glue, ends)
+    iota, pi, beta = dict(g.iota), {}, {}
+    for a, b in strands:
+        if a == b:
+            beta[a] = g.beta[a]
+        elif a in g._vertex_of and b in g._vertex_of:
+            iota[a], iota[b] = b, a
+        elif a in g._vertex_of or b in g._vertex_of:
+            flag, leg = (a, b) if a in g._vertex_of else (b, a)
+            beta[flag] = g.beta[leg]
         else:
-            m1, m2 = pi.pop(f_in), pi.pop(f_out)
-            del pi[m1], pi[m2]
-            pi[m1], pi[m2] = m2, m1
-            for f in (f_in, f_out):
-                exceptional.discard(f)
-                del beta[f], delta[f]
-    return DirectedGraph(g.vertices, exceptional, iota, pi, delta, g.lam,
-                         beta, loops)
+            pi[a], pi[b] = b, a
+            beta[a], beta[b] = g.beta[a], g.beta[b]
+    delta = {f: d for f, d in g.delta.items() if f in g._vertex_of or f in pi}
+    return DirectedGraph(g.vertices, set(pi), iota, pi, delta, g.lam, beta,
+                         g.loop_count + closed)
 
 
 # -- biased operations -------------------------------------------------------
@@ -289,11 +264,6 @@ def relabel(a: FreeElement, f: Mapping, g: Mapping) -> FreeElement:
                                      gr.pi, gr.delta, gr.lam, beta,
                                      gr.loop_count), dec))
     return FreeElement(set(f.values()), set(g.values()), out)
-
-
-def act(sigma: Mapping, a: FreeElement, tau: Mapping) -> FreeElement:
-    """The bimodule action: relabel by permutations of the boundary sets."""
-    return relabel(a, sigma, tau)
 
 
 def dioperadic(a: FreeElement, i, b: FreeElement, l) -> FreeElement:
@@ -477,7 +447,6 @@ def axiom_suite(w: WheeledProp, sampler, trials: int = 50, rng=None) -> dict:
     ``sampler(rng)`` must return a random carrier element.  The report maps
     axiom names to {"ok": bool, "trials": n, "witness": description or None}.
     """
-    import random
     rng = rng or random.Random(0)
     report = {}
 
@@ -695,13 +664,12 @@ def signature_from_obj(obj) -> Signature:
 
 
 def to_obj(a: FreeElement):
-    from . import graphs as _graphs
     terms = []
     for key in sorted(a.terms, key=repr):
         coeff, graph, decor = a.terms[key]
         terms.append({
             "coeff": str(coeff),
-            "graph": _graphs.to_obj(graph),
+            "graph": graphs.to_obj(graph),
             "decor": [[sym, list(ins), list(outs)] for sym, ins, outs in decor],
         })
     return {"in": sorted(a.in_labels, key=repr),
@@ -710,21 +678,18 @@ def to_obj(a: FreeElement):
 
 
 def from_obj(obj) -> FreeElement:
-    from . import graphs as _graphs
     terms = []
     for t in obj.get("terms", []):
         decor = tuple((sym, tuple(ins), tuple(outs))
                       for sym, ins, outs in t.get("decor", []))
         terms.append((Fraction(t.get("coeff", 1)),
-                      _graphs.from_obj(t["graph"]), decor))
+                      graphs.from_obj(t["graph"]), decor))
     return FreeElement(obj.get("in", ()), obj.get("out", ()), terms)
 
 
 def to_json(a: FreeElement) -> str:
-    import json
     return json.dumps(to_obj(a), sort_keys=True, separators=(",", ":"))
 
 
 def from_json(text: str) -> FreeElement:
-    import json
     return from_obj(json.loads(text))

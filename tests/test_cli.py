@@ -1,4 +1,5 @@
 import hashlib
+import io
 import itertools
 import json
 import random
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from wirecat import cli, graphs, lie, wiring, wprop
+from wirecat import cli, errors, graphs, lie, wiring, wprop
 from wirecat.sampling import (
     random_composable_pair,
     random_decorated_element,
@@ -41,6 +42,21 @@ def test_validate_domain_error_exit_1():
     assert rc == 1 and not out
     msg = json.loads(err)
     assert msg["error"] == "NonBijectiveMatching"
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("graph", '{"vertices": 5}'),
+    ("graph", "[]"),
+    ("graph", '{"vertices": [[[1]]]}'),
+    ("tensor", '{"dim": -1, "axes": [], "data": ["1"]}'),
+])
+def test_malformed_input_names_its_error(kind, text, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert cli.main(["validate", "--type", kind, "-"]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    name = json.loads(err)["error"]
+    assert issubclass(getattr(errors, name), errors.WirecatError)
 
 
 def test_usage_error_exit_2():

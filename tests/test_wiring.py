@@ -16,7 +16,14 @@ from wirecat.sampling import (
     random_composable_triple,
     random_wiring_diagram,
 )
-from wirecat.wiring import IN, OUT, Interface, WiringDiagram, identity_diagram
+from wirecat.wiring import (
+    IN,
+    OUT,
+    Interface,
+    WiringDiagram,
+    identity_diagram,
+    resolve_strands,
+)
 
 
 def two_box_diagram():
@@ -88,6 +95,35 @@ def test_closed_chain_counts_a_circle():
     composed = d.compose(1, closer)
     assert composed.r == 0
     assert composed.circles == 1
+
+
+def pairs(*edges):
+    """A pairing that maps each node of each edge to the other node."""
+    return {a: b for e in edges for a, b in (e, e[::-1])}
+
+
+def test_resolve_strands_free_edge_glued_to_itself():
+    # link and glue send both ends to the same place; the walk must still
+    # alternate and find one closed strand.
+    edge = pairs(("in", "out"))
+    assert resolve_strands(edge, edge, []) == ([], 1)
+
+
+def test_resolve_strands_lone_end_is_zero_length():
+    assert resolve_strands({}, {}, ["e"]) == ([("e", "e")], 0)
+    assert resolve_strands(pairs(("a", "b")), {}, ["e", "a"]) == \
+        ([("e", "e"), ("a", "b")], 0)
+
+
+def test_resolve_strands_order_of_ends():
+    # x - m1 = m2 - y, u - v, g0 = m3 - z, and a closed square p - q = r - s = p
+    # (- is a link hop, = a glue hop).
+    link = pairs(("x", "m1"), ("m2", "y"), ("u", "v"), ("m3", "z"),
+                 ("p", "q"), ("r", "s"))
+    glue = pairs(("m1", "m2"), ("g0", "m3"), ("q", "r"), ("s", "p"))
+    strands, closed = resolve_strands(link, glue, ["v", "z", "y", "x", "g0", "u"])
+    assert strands == [("v", "u"), ("z", "g0"), ("y", "x")]
+    assert closed == 1
 
 
 def test_circles_add_up():

@@ -177,6 +177,29 @@ def test_broken_contraction_fails_with_witness():
     assert all(report[k]["witness"] is not None for k in failed)
 
 
+class BrokenFree(FreeWheeledProp):
+    """Mutant: contraction glues to the wrong out-label, as in ``BrokenEndo``."""
+
+    name = "broken-free"
+
+    def contract(self, a, i, j):
+        outs = sorted(a.out_labels, key=repr)
+        if len(outs) > 1:
+            wrong = outs[0] if repr(outs[0]) != repr(j) else outs[1]
+            return contract(a, i, wrong)
+        return contract(a, i, j)
+
+
+def test_broken_free_contraction_fails_with_witness():
+    report = axiom_suite(BrokenFree(SIG), free_sampler(SIG), trials=200,
+                         rng=random.Random(109))
+    assert not report["ok"]
+    failed = [k for k, v in report.items()
+              if isinstance(v, dict) and not v["ok"]]
+    assert failed
+    assert all(report[k]["witness"] is not None for k in failed)
+
+
 def test_json_roundtrip():
     rng = random.Random(57)
     for _ in range(20):
