@@ -155,6 +155,8 @@ def _random_args_for(rng, d, diagram):
 
 def test_criterion_4_diagram_action(capsys):
     def body():
+        # The state sum shares no code with either evaluator.
+        from test_endo import state_sum
         rng = random.Random(104)
         d = 2
         w = EndoWheeledProp(d, cap_power=20)
@@ -166,6 +168,7 @@ def test_criterion_4_diagram_action(capsys):
             direct = endo.evaluate_graph(wd_to_graph(diagram), args, d,
                                          cap_power=20)
             assert via_action == direct
+            assert via_action == state_sum(wd_to_graph(diagram), args, d)
         for _ in range(60):
             while True:
                 outer = random_wiring_diagram(rng, max_boxes=2, max_labels=2,
@@ -188,9 +191,12 @@ def test_criterion_4_diagram_action(capsys):
             rhs = wd_action(w, outer,
                             outer_args[:i - 1] + [filled] + outer_args[i:])
             assert lhs == rhs
+            assert lhs == state_sum(wd_to_graph(outer.compose(i, inner)),
+                                    outer_args[:i - 1] + inner_args
+                                    + outer_args[i:], d)
 
-    announce(capsys, 4, "diagram action agrees with graph evaluation (200) "
-             "and with composition (60) at d=2", body)
+    announce(capsys, 4, "diagram action agrees with graph evaluation and "
+             "a state sum (200) and with composition (60) at d=2", body)
 
 
 def test_criterion_5_axiom_suite(capsys):

@@ -12,6 +12,7 @@ from wirecat import cli, errors, graphs, lie, wiring, wprop
 from wirecat.sampling import (
     random_composable_pair,
     random_decorated_element,
+    random_fraction,
     random_graph,
     random_graph_with_boundary,
     random_wiring_diagram,
@@ -259,6 +260,64 @@ def test_strand_command_goldens(cmd, tmp_path, capsys):
         assert cli.main(strand_argv(cmd, random.Random(seed), put)) == 0
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == STRAND_GOLDENS[cmd]
+
+
+# sha256 of the standard output of the evaluation commands: ten seeded `eval`
+# calls (seeds 0..9) and `killing` on sl2 at d=3 for n = 2, 3, 4.  Axis order
+# and entries come from how the graph evaluator contracts, so a change there
+# shows.
+EVAL_GOLDENS = {
+    "eval": "876ebb96b64d4519a9bc4bfe3dd81c0a15b0639509d77ef3dfd01f0a956bd837",
+    "killing": "ab2d4e0a07c5a2f1999b823a752d2dd3aeedcc2f85255590678f3a0d6d6ee230",
+}
+
+
+def eval_argv(rng, put):
+    """Arguments for one seeded ``eval`` call: a random graph whose vertices
+    carry generators with shuffled slots, bound to random arrays."""
+    g = random_graph(rng)
+    while len(g.lam) + len(g.exceptional) > 10:
+        g = random_graph(rng)
+    d = rng.randint(1, 3)
+
+    def array(rank):
+        if not rank:
+            return str(random_fraction(rng))
+        return [array(rank - 1) for _ in range(d)]
+
+    decor, bind = [], {}
+    for k in range(g.r):
+        ins, outs = (sorted(side) for side in g.neighbourhood(k + 1))
+        rng.shuffle(ins)
+        rng.shuffle(outs)
+        decor.append(["v%d" % k, ins, outs])
+        bind["v%d" % k] = array(len(ins) + len(outs))
+    return ["eval", "--dim", str(d),
+            put(json.dumps({"graph": graphs.to_obj(g), "decor": decor})),
+            put(json.dumps(bind))]
+
+
+@pytest.mark.parametrize("cmd", list(EVAL_GOLDENS))
+def test_evaluation_command_goldens(cmd, tmp_path, capsys):
+    paths = itertools.count()
+
+    def put(text):
+        path = tmp_path / ("%d.json" % next(paths))
+        path.write_text(text)
+        return str(path)
+
+    if cmd == "eval":
+        calls = [eval_argv(random.Random(seed), put) for seed in range(10)]
+    else:
+        sl2 = put(json.dumps([[[str(x) for x in row] for row in plane]
+                              for plane in lie.sl2_bracket()]))
+        calls = [["killing", "--bracket", sl2, "--n", str(n)]
+                 for n in (2, 3, 4)]
+    digest = hashlib.sha256()
+    for argv in calls:
+        assert cli.main(argv) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == EVAL_GOLDENS[cmd]
 
 
 def test_parser_reused_across_calls(capsys):

@@ -1,6 +1,8 @@
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wirecat import endo
@@ -13,8 +15,50 @@ from wirecat.endo import (
 )
 from wirecat.errors import DimMismatch, LabelClash, SizeCapExceeded, UnknownAxis
 from wirecat.graphs import DirectedGraph
-from wirecat.sampling import random_fraction
+from wirecat.sampling import random_fraction, random_graph, random_tensor
 from wirecat.wiring import IN, OUT
+
+
+def edge_of(g):
+    """Number the edges of ``g``: internal edges, boundary legs, free edges.
+
+    Maps every flag to the index of the edge it lies on.
+    """
+    out = {}
+    flags = set(g.lam) | set(g.exceptional)
+    for f in sorted(flags, key=repr):
+        if f not in out:
+            mate = g.pi[f] if f in g.exceptional else g.iota.get(f, f)
+            out[f] = out[mate] = len(set(out.values()))
+    return out
+
+
+def state_sum(g, vertex_tensors, d):
+    """Brute-force value of a graph whose vertices carry tensors.
+
+    Sums, over every assignment of an index in 0..d-1 to each edge, the
+    product of the vertex entries that the assignment picks; each free loop
+    multiplies by d.  Exponential in the number of edges, and shares no code
+    with ``tensor_product``, ``trace_contract`` or ``evaluate_graph``:
+    ``Tensor`` only holds the result.
+    """
+    edge = edge_of(g)
+    pol = {1: IN, -1: OUT}
+    picks = []
+    for k, t in enumerate(vertex_tensors):
+        axis_edge = {(pol[g.delta[f]], g.lam[f]): edge[f]
+                     for f in g.vertices[k]}
+        picks.append((t.data, [axis_edge[a] for a in t.axes]))
+    legs = sorted(g.beta, key=repr)
+    axes = [(pol[g.delta[f]], g.beta[f]) for f in legs]
+    out = np.full((d,) * len(axes), Fraction(0), dtype=object)
+    loops = Fraction(d) ** g.loop_count
+    for state in itertools.product(range(d), repeat=len(set(edge.values()))):
+        term = loops
+        for data, es in picks:
+            term *= data[tuple(state[e] for e in es)]
+        out[tuple(state[edge[f]] for f in legs)] += term
+    return Tensor(d, axes, out)
 
 
 def mat_to_tensor(M, d, in_label="x", out_label="y"):
@@ -125,6 +169,36 @@ def test_evaluate_free_edge_and_loops():
     assert out == identity_tensor("?", d).rename_axes(
         {(IN, "?"): (IN, "p"), (OUT, "?"): (OUT, "q")})
     assert endo.evaluate_graph(free_loop(3), [], d).scalar_value() == d ** 3
+
+
+def test_evaluate_graph_matches_state_sum():
+    rng = random.Random(45)
+    for d in (1, 2, 3):
+        checked = 0
+        while checked < 100:
+            g = random_graph(rng)
+            edge = edge_of(g)
+            # At most 10 flags keeps evaluate_graph's outer products under
+            # 3^10 entries; at most 8 edges keeps the state sum under 3^8 terms.
+            if len(edge) > 10 or len(set(edge.values())) > 8:
+                continue
+            tensors = [random_tensor(rng, d, sorted(ins), sorted(outs))
+                       for ins, outs in (g.neighbourhood(k + 1)
+                                         for k in range(g.r))]
+            assert endo.evaluate_graph(g, tensors, d) == \
+                state_sum(g, tensors, d)
+            checked += 1
+
+
+def test_state_sum_of_a_chain_is_composition():
+    rng = random.Random(46)
+    for d in (1, 2, 3):
+        A = random_matrix(rng, d)
+        B = random_matrix(rng, d)
+        ta = mat_to_tensor(A, d, "a", "m")
+        tb = mat_to_tensor(B, d, "m", "b")
+        assert state_sum(chain_graph(), [ta, tb], d) == \
+            mat_to_tensor(matmul(B, A, d), d, "p", "q")
 
 
 def test_evaluate_decorated_binds_generators():

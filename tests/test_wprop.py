@@ -1,22 +1,28 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from wirecat import wprop
+from wirecat import endo, wprop
 from wirecat.errors import (
     ArityMismatch,
     BoundaryMismatch,
     LabelClash,
     NotABijection,
+    WirecatError,
 )
 from wirecat.graphs import corolla, substitute_all
 from wirecat.sampling import (
     endo_sampler,
     free_sampler,
     random_decorated_element,
+    random_fraction,
     random_graph_with_boundary,
+    random_tensor,
+    random_wiring_diagram,
 )
+from wirecat.wiring import IN, OUT
 from wirecat.wprop import (
     BrokenEndo,
     EndoWheeledProp,
@@ -33,6 +39,7 @@ from wirecat.wprop import (
     relabel,
     unit,
     unit_empty,
+    wd_action,
 )
 
 SIG = Signature({"f": (2, 1), "g": (1, 2)})
@@ -198,6 +205,61 @@ def test_broken_free_contraction_fails_with_witness():
               if isinstance(v, dict) and not v["ok"]]
     assert failed
     assert all(report[k]["witness"] is not None for k in failed)
+
+
+def test_wd_action_commutes_with_evaluation():
+    # Acting in the free prop on one generator per box and then evaluating
+    # term by term equals acting on the bound tensors: evaluation is a
+    # morphism of circuit algebras.
+    rng = random.Random(58)
+    d = 2
+    for _ in range(200):
+        diagram = random_wiring_diagram(rng, max_boxes=3, max_labels=2,
+                                        max_circles=2)
+        sig = Signature({"b%d" % k: (len(box.in_labels), len(box.out_labels))
+                         for k, box in enumerate(diagram.inputs)})
+        gens, tensors, bind = [], [], {}
+        for k, box in enumerate(diagram.inputs):
+            ins, outs = sorted(box.in_labels), sorted(box.out_labels)
+            raw = np.array([random_fraction(rng)
+                            for _ in range(d ** (len(ins) + len(outs)))],
+                           dtype=object).reshape((d,) * (len(ins) + len(outs)))
+            bind["b%d" % k] = raw
+            gens.append(eta(sig, "b%d" % k, ins, outs))
+            tensors.append(endo.Tensor(d, [(IN, l) for l in ins]
+                                       + [(OUT, l) for l in outs], raw))
+        free = wd_action(FreeWheeledProp(sig), diagram, gens)
+        value = None
+        for c, g, decor in free.terms.values():
+            term = endo.evaluate_decorated(g, decor, bind, d).scale(c)
+            value = term if value is None else value + term
+        assert value == wd_action(EndoWheeledProp(d), diagram, tensors)
+
+
+@pytest.mark.parametrize("prop", ["free", "endo"])
+def test_wd_action_rejects_wrong_arguments(prop):
+    rng = random.Random(59)
+    diagram = random_wiring_diagram(rng, max_boxes=3, max_labels=2)
+    while not diagram.r:
+        diagram = random_wiring_diagram(rng, max_boxes=3, max_labels=2)
+    boxes = [(sorted(b.in_labels), sorted(b.out_labels))
+             for b in diagram.inputs]
+    if prop == "free":
+        sig = Signature({"z": (1, 0), **{"b%d" % k: (len(i), len(o))
+                                          for k, (i, o) in enumerate(boxes)}})
+        w = FreeWheeledProp(sig)
+        args = [eta(sig, "b%d" % k, i, o) for k, (i, o) in enumerate(boxes)]
+        stranger = eta(sig, "z", ["zz"], [])
+    else:
+        w = EndoWheeledProp(2)
+        args = [random_tensor(rng, 2, i, o) for i, o in boxes]
+        stranger = random_tensor(rng, 2, ["zz"], [])
+    with pytest.raises(WirecatError):
+        wd_action(w, diagram, args[:-1])
+    with pytest.raises(WirecatError):
+        wd_action(w, diagram, args + [args[0]])
+    with pytest.raises(WirecatError):
+        wd_action(w, diagram, [stranger] + args[1:])
 
 
 def test_json_roundtrip():
