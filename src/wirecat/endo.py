@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     ArityMismatch,
     DimMismatch,
+    InvalidTensor,
     LabelClash,
     SizeCapExceeded,
     UnknownAxis,
@@ -67,9 +68,6 @@ class Tensor:
             return self.axes.index(tuple(key))
         except ValueError:
             raise UnknownAxis("no axis %r among %r" % (key, self.axes))
-
-    def is_scalar(self) -> bool:
-        return not self.axes
 
     def scalar_value(self) -> Fraction:
         if self.axes:
@@ -189,12 +187,9 @@ def evaluate_graph(g: DirectedGraph, vertex_tensors, d: int,
     # Boundary axes get the graph's beta labels.
     ren = {}
     for f in g.boundary_flags():
-        if f in g._vertex_of:
-            pol = IN if g.delta[f] == 1 else OUT
-            ren[(pol, (g._vertex_of[f], g.lam[f]))] = (pol, g.beta[f])
-        else:
-            pol = IN if g.delta[f] == 1 else OUT
-            ren[(pol, ("b", g.beta[f]))] = (pol, g.beta[f])
+        pol = IN if g.delta[f] == 1 else OUT
+        tag = (g._vertex_of[f], g.lam[f]) if f in g._vertex_of else ("b", g.beta[f])
+        ren[(pol, tag)] = (pol, g.beta[f])
     big = big.rename_axes(ren)
     if g.loop_count:
         big = big.scale(Fraction(d) ** g.loop_count)
@@ -226,9 +221,24 @@ def to_obj(t: Tensor):
     }
 
 
+def _is_axis(a) -> bool:
+    return (isinstance(a, list) and len(a) == 2 and a[0] in (IN, OUT)
+            and isinstance(a[1], (str, int)) and not isinstance(a[1], bool))
+
+
 def from_obj(obj) -> Tensor:
-    return Tensor(obj["dim"], [tuple(a) for a in obj["axes"]],
-                  [Fraction(x) for x in obj["data"]])
+    if not isinstance(obj, dict) or not {"dim", "axes", "data"} <= set(obj):
+        raise InvalidTensor("a tensor is an object with dim, axes and data")
+    if not isinstance(obj["axes"], list) or not all(map(_is_axis, obj["axes"])):
+        raise InvalidTensor("axes %r are not [in|out, label] pairs with a "
+                            "string or integer label" % (obj["axes"],))
+    if not isinstance(obj["data"], list):
+        raise InvalidTensor("data %r is not a list" % (obj["data"],))
+    try:
+        data = [Fraction(x) for x in obj["data"]]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidTensor("data entry is not a rational: %s" % exc)
+    return Tensor(obj["dim"], [tuple(a) for a in obj["axes"]], data)
 
 
 def to_json(t: Tensor) -> str:

@@ -77,6 +77,11 @@ class NotABijection(WirecatError):
 
 # -- tensors -----------------------------------------------------------------
 
+class InvalidTensor(WirecatError):
+    """A tensor's JSON form is not an object with dim, [polarity, label] axes
+    and a list of rational entries."""
+
+
 class UnknownAxis(WirecatError):
     """A (polarity, label) pair does not name an axis of the tensor."""
 

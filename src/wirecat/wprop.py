@@ -9,7 +9,9 @@ The biased operations — horizontal composition (disjoint union), contraction
 
 ``WheeledProp`` is the abstract capability set shared by the free prop and
 the tensor implementation in ``endo``; ``axiom_suite`` exercises the eight
-defining laws against any implementation.
+defining laws against any implementation, and ``wd_action`` applies a wiring
+diagram by translating it to a graph and calling the implementation's
+``evaluate``.
 """
 from __future__ import annotations
 
@@ -132,10 +134,6 @@ class FreeElement:
             len(self.terms))
 
 
-def zero(in_labels, out_labels) -> FreeElement:
-    return FreeElement(in_labels, out_labels)
-
-
 def eta(sig: Signature, sym: str, in_seq: Sequence, out_seq: Sequence) -> FreeElement:
     """The generator ``sym`` placed on a corolla, slots filled in order."""
     n, m = sig.arity(sym)
@@ -245,13 +243,19 @@ def contract(a: FreeElement, i, j) -> FreeElement:
     return FreeElement(a.in_labels - {i}, a.out_labels - {j}, out)
 
 
+def _bijections(ins, outs, f: Mapping, g: Mapping):
+    """``f`` and ``g`` as dicts, checked to be bijections on ``ins``, ``outs``."""
+    f, g = dict(f), dict(g)
+    if set(f) != ins or len(set(f.values())) != len(f):
+        raise NotABijection("in-relabel %r on %r" % (f, sorted(ins, key=repr)))
+    if set(g) != outs or len(set(g.values())) != len(g):
+        raise NotABijection("out-relabel %r on %r" % (g, sorted(outs, key=repr)))
+    return f, g
+
+
 def relabel(a: FreeElement, f: Mapping, g: Mapping) -> FreeElement:
     """Rename boundary labels by bijections ``f`` on inputs, ``g`` on outputs."""
-    f, g = dict(f), dict(g)
-    if set(f) != a.in_labels or len(set(f.values())) != len(f):
-        raise NotABijection("in-relabel %r on %r" % (f, sorted(a.in_labels, key=repr)))
-    if set(g) != a.out_labels or len(set(g.values())) != len(g):
-        raise NotABijection("out-relabel %r on %r" % (g, sorted(a.out_labels, key=repr)))
+    f, g = _bijections(a.in_labels, a.out_labels, f, g)
     out = []
     for c, gr, dec in a.terms.values():
         beta = {}
@@ -323,6 +327,10 @@ class WheeledProp:
         raise NotImplementedError
 
     def equal(self, a, b) -> bool:
+        return a == b
+
+    def evaluate(self, g: DirectedGraph, args: Sequence):
+        """Evaluate ``g`` with ``args[k]`` placed on vertex k+1."""
         raise NotImplementedError
 
     def dioperadic(self, a, i, b, l):
@@ -353,8 +361,8 @@ class FreeWheeledProp(WheeledProp):
     def relabel(self, a, f, g):
         return relabel(a, f, g)
 
-    def equal(self, a, b):
-        return a == b
+    def evaluate(self, g, args):
+        return flatten(g, args)
 
 
 class EndoWheeledProp(WheeledProp):
@@ -383,31 +391,13 @@ class EndoWheeledProp(WheeledProp):
         return endo.scalar_tensor(self.d)
 
     def relabel(self, a, f, g):
-        ins, outs = self.boundary(a)
-        f, g = dict(f), dict(g)
-        if set(f) != ins or len(set(f.values())) != len(f):
-            raise NotABijection("in-relabel %r on %r" % (f, sorted(ins, key=repr)))
-        if set(g) != outs or len(set(g.values())) != len(g):
-            raise NotABijection("out-relabel %r on %r" % (g, sorted(outs, key=repr)))
+        f, g = _bijections(*self.boundary(a), f, g)
         ren = {(IN, k): (IN, v) for k, v in f.items()}
         ren.update({(OUT, k): (OUT, v) for k, v in g.items()})
         return a.rename_axes(ren)
 
-    def equal(self, a, b):
-        return a == b
-
-
-class BrokenEndo(EndoWheeledProp):
-    """Mutation for testing: contraction picks the wrong out-axis."""
-
-    name = "broken-endo"
-
-    def contract(self, a, i, j):
-        outs = sorted((l for p, l in a.axes if p == OUT), key=repr)
-        if len(outs) > 1:
-            wrong = outs[0] if repr(outs[0]) != repr(j) else outs[1]
-            return endo.trace_contract(a, i, wrong)
-        return endo.trace_contract(a, i, j)
+    def evaluate(self, g, args):
+        return endo.evaluate_graph(g, args, self.d, self.cap_power)
 
 
 # -- the axiom suite ---------------------------------------------------------
@@ -587,70 +577,14 @@ def axiom_suite(w: WheeledProp, sampler, trials: int = 50, rng=None) -> dict:
 # -- wiring-diagram action ---------------------------------------------------
 
 def wd_action(w: WheeledProp, d: WiringDiagram, args: Sequence) -> object:
-    """Apply a wiring diagram to carrier elements through the graph picture.
+    """Apply a wiring diagram to carrier elements: translate it to a graph and
+    evaluate that graph in ``w``.
 
     ``args[k]`` must have boundary ``(inputs[k].in_labels,
     inputs[k].out_labels)``; the result has boundary ``(output.out_labels,
     output.in_labels)``.
     """
-    g = wd_to_graph(d)
-    if len(args) != g.r:
-        raise BoundaryMismatch("%d arguments for %d boxes" % (len(args), g.r))
-
-    # Internal edges, indexed by the last box they touch so they can be
-    # contracted as soon as both endpoints have been multiplied in.
-    edges = []
-    for f in sorted(g.iota, key=repr):
-        m = g.iota[f]
-        if m == f or repr(f) > repr(m):
-            continue
-        src, dst = (f, m) if g.delta[f] == -1 else (m, f)
-        edges.append((max(g._vertex_of[src], g._vertex_of[dst]),
-                      ("wd", g._vertex_of[dst], g.lam[dst]),
-                      ("wd", g._vertex_of[src], g.lam[src])))
-
-    big = w.unit_empty()
-    # Free edges of the diagram's graph are identity strands.
-    for f in sorted(g.pi, key=repr):
-        m = g.pi[f]
-        if repr(f) > repr(m):
-            continue
-        fin, fout = (f, m) if g.delta[f] == 1 else (m, f)
-        u = w.relabel(w.unit("t"), {"t": ("wdb", g.beta[fin])},
-                      {"t": ("wdb", g.beta[fout])})
-        big = w.horizontal(big, u)
-
-    # Circles are traced-out units.
-    for _ in range(d.circles):
-        big = w.horizontal(big, w.contract(w.unit("t"), "t", "t"))
-
-    # Tag every argument's boundary with its box index so that labels of
-    # different boxes never clash, multiplying and contracting as we go.
-    for k, x in enumerate(args):
-        ins, outs = w.boundary(x)
-        if (ins, outs) != g.neighbourhood(k + 1):
-            raise BoundaryMismatch(
-                "argument %d boundary %r != box interface %r"
-                % (k + 1, (ins, outs), g.neighbourhood(k + 1)))
-        f = {l: ("wd", k, l) for l in ins}
-        gg = {l: ("wd", k, l) for l in outs}
-        big = w.horizontal(big, w.relabel(x, f, gg))
-        for last, i_key, j_key in edges:
-            if last == k:
-                big = w.contract(big, i_key, j_key)
-
-    # Restore the diagram's boundary labels.
-    f_map, g_map = {}, {}
-    for fl in g.boundary_flags():
-        if fl in g._vertex_of:
-            tag = ("wd", g._vertex_of[fl], g.lam[fl])
-        else:
-            tag = ("wdb", g.beta[fl])
-        if g.delta[fl] == 1:
-            f_map[tag] = g.beta[fl]
-        else:
-            g_map[tag] = g.beta[fl]
-    return w.relabel(big, f_map, g_map)
+    return w.evaluate(wd_to_graph(d), args)
 
 
 # -- serialization -----------------------------------------------------------

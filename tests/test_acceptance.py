@@ -29,7 +29,6 @@ from wirecat.sampling import (
 from wirecat.translate import graph_to_wd, wd_to_graph
 from wirecat.wiring import identity_diagram
 from wirecat.wprop import (
-    BrokenEndo,
     EndoWheeledProp,
     FreeWheeledProp,
     Signature,
@@ -201,6 +200,7 @@ def test_criterion_4_diagram_action(capsys):
 
 def test_criterion_5_axiom_suite(capsys):
     def body():
+        from test_wprop import BrokenEndo
         sig = Signature({"f": (2, 1), "g": (1, 2)})
         report = axiom_suite(FreeWheeledProp(sig), free_sampler(sig),
                              trials=200, rng=random.Random(105))

@@ -50,6 +50,15 @@ def test_validate_domain_error_exit_1():
     ("graph", "[]"),
     ("graph", '{"vertices": [[[1]]]}'),
     ("tensor", '{"dim": -1, "axes": [], "data": ["1"]}'),
+    ("tensor", "[]"),
+    ("tensor", '{"dim": 2, "axes": []}'),
+    ("tensor", '{"dim": 2, "axes": [["in", ["a"]]], "data": ["1", "2"]}'),
+    ("tensor", '{"dim": 2, "axes": [["in", "a"]], "data": "12"}'),
+    ("tensor", '{"dim": 2, "axes": [["in"]], "data": ["1", "2"]}'),
+    ("tensor", '{"dim": 2, "axes": [["sideways", "a"]], "data": ["1", "2"]}'),
+    ("tensor", '{"dim": 2, "axes": [["in", "a", "b"]], "data": ["1", "2"]}'),
+    ("tensor", '{"dim": 2, "axes": [["in", "a"]], "data": [["1"], "2"]}'),
+    ("tensor", '{"dim": 2, "axes": [["in", "a"]], "data": ["1/0", "2"]}'),
 ])
 def test_malformed_input_names_its_error(kind, text, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))

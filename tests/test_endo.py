@@ -24,12 +24,11 @@ def edge_of(g):
 
     Maps every flag to the index of the edge it lies on.
     """
-    out = {}
-    flags = set(g.lam) | set(g.exceptional)
-    for f in sorted(flags, key=repr):
+    out, fresh = {}, itertools.count()
+    for f in sorted(set(g.lam) | g.exceptional, key=repr):
         if f not in out:
             mate = g.pi[f] if f in g.exceptional else g.iota.get(f, f)
-            out[f] = out[mate] = len(set(out.values()))
+            out[f] = out[mate] = next(fresh)
     return out
 
 

@@ -24,7 +24,6 @@ from wirecat.sampling import (
 )
 from wirecat.wiring import IN, OUT
 from wirecat.wprop import (
-    BrokenEndo,
     EndoWheeledProp,
     FreeElement,
     FreeWheeledProp,
@@ -172,6 +171,19 @@ def test_axiom_suite_endo():
     report = axiom_suite(EndoWheeledProp(2), endo_sampler(2), trials=30,
                          rng=random.Random(55))
     assert report["ok"], report
+
+
+class BrokenEndo(EndoWheeledProp):
+    """Mutant: contraction picks the wrong out-axis."""
+
+    name = "broken-endo"
+
+    def contract(self, a, i, j):
+        outs = sorted((l for p, l in a.axes if p == OUT), key=repr)
+        if len(outs) > 1:
+            wrong = outs[0] if repr(outs[0]) != repr(j) else outs[1]
+            return endo.trace_contract(a, i, wrong)
+        return endo.trace_contract(a, i, j)
 
 
 def test_broken_contraction_fails_with_witness():
