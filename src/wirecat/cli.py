@@ -12,7 +12,6 @@ import functools
 import json
 import random
 import sys
-from fractions import Fraction
 
 from . import endo, graphs, lie, wiring, wprop
 from .errors import WirecatError
@@ -44,7 +43,7 @@ def _dump(obj) -> str:
 def _fractions(x):
     if isinstance(x, list):
         return [_fractions(v) for v in x]
-    return Fraction(x)
+    return endo.rational(x)
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -259,11 +258,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except WirecatError as exc:
-        sys.stderr.write(_dump({"error": type(exc).__name__,
-                                "message": str(exc)}) + "\n")
-        return 1
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (WirecatError, OSError, json.JSONDecodeError, KeyError,
+            ValueError) as exc:
         sys.stderr.write(_dump({"error": type(exc).__name__,
                                 "message": str(exc)}) + "\n")
         return 1

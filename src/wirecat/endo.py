@@ -22,20 +22,12 @@ from .errors import (
     UnknownAxis,
 )
 from .graphs import DirectedGraph
-from .wiring import IN, OUT
+from .wiring import IN, OUT, all_fit
 
 DEFAULT_CAP_POWER = 12
 
 
-def _as_fraction_array(data, shape):
-    arr = np.empty(shape, dtype=object)
-    flat = arr.reshape(-1)
-    src = np.asarray(data, dtype=object).reshape(-1)
-    if src.size != flat.size:
-        raise ArityMismatch("data of size %d for shape %r" % (src.size, shape))
-    for k in range(flat.size):
-        flat[k] = Fraction(src[k])
-    return arr
+_to_fractions = np.frompyfunc(Fraction, 1, 1)
 
 
 class Tensor:
@@ -49,16 +41,27 @@ class Tensor:
     __slots__ = ("dim", "axes", "data")
 
     def __init__(self, dim: int, axes, data):
+        self._set(dim, axes, _to_fractions(np.asarray(data, dtype=object)))
+
+    @classmethod
+    def _exact(cls, dim: int, axes, data) -> "Tensor":
+        """``Tensor(...)`` without coercion, for data already all ``Fraction``s."""
+        t = cls.__new__(cls)
+        t._set(dim, axes, data)
+        return t
+
+    def _set(self, dim, axes, data):
         if not isinstance(dim, int) or dim < 1:
             raise DimMismatch("dimension %r is not a positive integer" % (dim,))
         axes = [tuple(a) for a in axes]
         if len(set(axes)) != len(axes):
             raise LabelClash("duplicate axis keys in %r" % (axes,))
-        self.dim = dim
-        arr = _as_fraction_array(data, (dim,) * len(axes))
+        arr = np.asarray(data, dtype=object)
+        if arr.size != dim ** len(axes):
+            raise ArityMismatch("%d entries for %d axes of dim %d" % (arr.size, len(axes), dim))
         order = sorted(range(len(axes)), key=lambda k: repr(axes[k]))
-        self.axes = tuple(axes[k] for k in order)
-        self.data = arr.transpose(order) if axes else arr
+        self.dim, self.axes = dim, tuple(axes[k] for k in order)
+        self.data = arr.reshape((dim,) * len(axes)).transpose(order)
         self.data.flags.writeable = False
 
     # -- helpers --
@@ -86,18 +89,18 @@ class Tensor:
         return "Tensor(dim=%d, axes=%r)" % (self.dim, list(self.axes))
 
     def scale(self, c) -> "Tensor":
-        return Tensor(self.dim, self.axes, self.data * Fraction(c))
+        return Tensor._exact(self.dim, self.axes, self.data * Fraction(c))
 
     def __add__(self, other: "Tensor") -> "Tensor":
         if self.dim != other.dim or self.axes != other.axes:
             raise DimMismatch("adding tensors with different axes")
-        return Tensor(self.dim, self.axes, self.data + other.data)
+        return Tensor._exact(self.dim, self.axes, self.data + other.data)
 
     def rename_axes(self, mapping) -> "Tensor":
         """Rename axis keys by a partial map (pol, label) -> (pol, label)."""
         mapping = {tuple(k): tuple(v) for k, v in dict(mapping).items()}
         new_axes = [mapping.get(a, a) for a in self.axes]
-        return Tensor(self.dim, new_axes, self.data)
+        return Tensor._exact(self.dim, new_axes, self.data)
 
 
 def scalar_tensor(d: int, value=1) -> Tensor:
@@ -105,11 +108,8 @@ def scalar_tensor(d: int, value=1) -> Tensor:
 
 
 def identity_tensor(label: str, d: int) -> Tensor:
-    data = np.empty((d, d), dtype=object)
-    for p in range(d):
-        for q in range(d):
-            data[p, q] = Fraction(1 if p == q else 0)
-    return Tensor(d, [(IN, label), (OUT, label)], data)
+    return Tensor(d, [(IN, label), (OUT, label)],
+                  [[int(p == q) for q in range(d)] for p in range(d)])
 
 
 def tensor_product(s: Tensor, t: Tensor, cap_power: int = DEFAULT_CAP_POWER) -> Tensor:
@@ -122,7 +122,7 @@ def tensor_product(s: Tensor, t: Tensor, cap_power: int = DEFAULT_CAP_POWER) -> 
         raise SizeCapExceeded("%d axes exceeds cap of %d"
                               % (len(s.axes) + len(t.axes), cap_power))
     data = np.multiply.outer(s.data, t.data)
-    return Tensor(s.dim, list(s.axes) + list(t.axes), data)
+    return Tensor._exact(s.dim, list(s.axes) + list(t.axes), data)
 
 
 def trace_contract(t: Tensor, i: str, j: str) -> Tensor:
@@ -131,7 +131,7 @@ def trace_contract(t: Tensor, i: str, j: str) -> Tensor:
     a2 = t.axis_pos((OUT, j))
     data = t.data.diagonal(axis1=a1, axis2=a2).sum(axis=-1)
     axes = [a for k, a in enumerate(t.axes) if k not in (a1, a2)]
-    return Tensor(t.dim, axes, data)
+    return Tensor._exact(t.dim, axes, data)
 
 
 # -- graph evaluation --------------------------------------------------------
@@ -144,56 +144,43 @@ def evaluate_graph(g: DirectedGraph, vertex_tensors, d: int,
     ('out', l) for l in out(v_{k+1}).  Internal edges are contracted, free
     edges contribute identity tensors, free loops a factor d each, and the
     result's axes carry the graph's boundary labels.
+
+    In graph order, each vertex traces out its edges to itself and is then
+    contracted (``np.tensordot``) into the running product over its edges to
+    earlier vertices; free edges come last.  ``cap_power`` caps each intermediate.
     """
     if len(vertex_tensors) != g.r:
         raise ArityMismatch("%d tensors for %d vertices" % (len(vertex_tensors), g.r))
-    edges = []
-    for f in sorted(g.iota, key=repr):
-        m = g.iota[f]
-        if m == f or repr(f) > repr(m):
-            continue
-        src, dst = (f, m) if g.delta[f] == -1 else (m, f)
-        edges.append((max(g._vertex_of[src], g._vertex_of[dst]),
-                      (g._vertex_of[dst], g.lam[dst]),
-                      (g._vertex_of[src], g.lam[src])))
-
-    big = scalar_tensor(d)
-    for f in sorted(g.pi, key=repr):
-        m = g.pi[f]
-        if repr(f) > repr(m):
-            continue
-        fin, fout = (f, m) if g.delta[f] == 1 else (m, f)
-        edge = identity_tensor("?", d).rename_axes({
-            (IN, "?"): (IN, ("b", g.beta[fin])),
-            (OUT, "?"): (OUT, ("b", g.beta[fout])),
-        })
-        big = tensor_product(big, edge, cap_power=cap_power)
-
-    # Multiply vertices in one at a time, contracting each internal edge as
-    # soon as both of its ends are present, to keep intermediates small.
+    pol = {1: IN, -1: OUT}
+    pieces = []  # (data, the flags naming its axes)
     for k, t in enumerate(vertex_tensors):
         if t.dim != d:
             raise DimMismatch("vertex %d has dim %d, expected %d" % (k + 1, t.dim, d))
-        ins, outs = g.neighbourhood(k + 1)
-        want = {(IN, l) for l in ins} | {(OUT, l) for l in outs}
-        if set(t.axes) != want:
-            raise ArityMismatch("vertex %d axes %r != %r" % (k + 1, t.axes, want))
-        tagged = t.rename_axes({a: (a[0], (k, a[1])) for a in t.axes})
-        big = tensor_product(big, tagged, cap_power=cap_power)
-        for last, i_key, j_key in edges:
-            if last == k:
-                big = trace_contract(big, i_key, j_key)
+        flag_of = {(pol[g.delta[f]], g.lam[f]): f for f in g.vertices[k]}
+        if set(t.axes) != set(flag_of):
+            raise ArityMismatch("vertex %d axes %r != %r" % (k + 1, t.axes, set(flag_of)))
+        pieces.append((t.data, [flag_of[a] for a in t.axes]))
+    pieces += [(identity_tensor("?", d).data, [f, m])
+               for f, m in g.pi.items() if g.delta[f] == 1]
 
-    # Boundary axes get the graph's beta labels.
-    ren = {}
-    for f in g.boundary_flags():
-        pol = IN if g.delta[f] == 1 else OUT
-        tag = (g._vertex_of[f], g.lam[f]) if f in g._vertex_of else ("b", g.beta[f])
-        ren[(pol, tag)] = (pol, g.beta[f])
-    big = big.rename_axes(ren)
-    if g.loop_count:
-        big = big.scale(Fraction(d) ** g.loop_count)
-    return big
+    # The free loops' factor seeds the running product.
+    data, flags = np.full((), Fraction(d) ** g.loop_count, dtype=object), []
+    for v, vflags in pieces:
+        for f in [f for f in vflags if g.delta[f] == 1]:
+            m = g.iota.get(f, f)
+            if m != f and m in vflags:
+                v = np.trace(v, axis1=vflags.index(f), axis2=vflags.index(m))
+                vflags = [x for x in vflags if x not in (f, m)]
+        shared = [f for f in vflags if g.iota.get(f, f) in flags]
+        mates = [g.iota[f] for f in shared]
+        axes = len(flags) + len(vflags) - 2 * len(shared)
+        if axes > cap_power:
+            raise SizeCapExceeded("%d axes exceeds cap of %d" % (axes, cap_power))
+        data = np.tensordot(data, v, axes=([flags.index(m) for m in mates],
+                                           [vflags.index(f) for f in shared]))
+        flags = ([f for f in flags if f not in mates]
+                 + [f for f in vflags if f not in shared])
+    return Tensor._exact(d, [(pol[g.delta[f]], g.beta[f]) for f in flags], data)
 
 
 def evaluate_decorated(g: DirectedGraph, decor, bind, d: int) -> Tensor:
@@ -203,11 +190,8 @@ def evaluate_decorated(g: DirectedGraph, decor, bind, d: int) -> Tensor:
     and the labels filling its slots in order; ``bind[symbol]`` is a raw
     nested array whose axes run over the in-slots then the out-slots.
     """
-    tensors = []
-    for sym, in_slots, out_slots in decor:
-        raw = bind[sym]
-        axes = [(IN, l) for l in in_slots] + [(OUT, l) for l in out_slots]
-        tensors.append(Tensor(d, axes, raw))
+    tensors = [Tensor(d, [(IN, l) for l in ins] + [(OUT, l) for l in outs], bind[sym])
+               for sym, ins, outs in decor]
     return evaluate_graph(g, tensors, d)
 
 
@@ -221,24 +205,24 @@ def to_obj(t: Tensor):
     }
 
 
-def _is_axis(a) -> bool:
-    return (isinstance(a, list) and len(a) == 2 and a[0] in (IN, OUT)
-            and isinstance(a[1], (str, int)) and not isinstance(a[1], bool))
+_TENSOR = {"axes": [[{IN, OUT}, (str, int)]], "data": [None]}
 
 
 def from_obj(obj) -> Tensor:
-    if not isinstance(obj, dict) or not {"dim", "axes", "data"} <= set(obj):
-        raise InvalidTensor("a tensor is an object with dim, axes and data")
-    if not isinstance(obj["axes"], list) or not all(map(_is_axis, obj["axes"])):
-        raise InvalidTensor("axes %r are not [in|out, label] pairs with a "
-                            "string or integer label" % (obj["axes"],))
-    if not isinstance(obj["data"], list):
-        raise InvalidTensor("data %r is not a list" % (obj["data"],))
+    if not (all_fit([obj], _TENSOR) and {"dim", "axes", "data"} <= set(obj)):
+        raise InvalidTensor("%.80r is no {dim, axes: [[in|out, label]], data}" % (obj,))
+    return Tensor(obj["dim"], [tuple(a) for a in obj["axes"]],
+                  [rational(x) for x in obj["data"]])
+
+
+def rational(x) -> Fraction:
+    """An integer or rational string from JSON; never a float, as 0.1 is not 1/10."""
+    if isinstance(x, (bool, float)):
+        raise InvalidTensor("%r is inexact: give an integer or a string like '1/10'" % (x,))
     try:
-        data = [Fraction(x) for x in obj["data"]]
+        return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InvalidTensor("data entry is not a rational: %s" % exc)
-    return Tensor(obj["dim"], [tuple(a) for a in obj["axes"]], data)
+        raise InvalidTensor("%r is not a rational: %s" % (x, exc))
 
 
 def to_json(t: Tensor) -> str:

@@ -26,7 +26,7 @@ from .errors import (
     TooManyVertices,
     UnknownVertex,
 )
-from .wiring import resolve_strands
+from .wiring import all_fit, resolve_strands
 
 DEFAULT_BRUTE_FORCE_BOUND = 8
 
@@ -454,39 +454,30 @@ def to_obj(g: DirectedGraph):
     }
 
 
+_PAIRS = [[None, None]]
+_GRAPH = {"vertices": [[None]], "exceptional": [None], "iota": _PAIRS,
+          "pi": _PAIRS, "delta": _PAIRS, "lambda": _PAIRS, "beta": _PAIRS,
+          "loops": (int,), "loop_flags": (int,)}
+
+
 def from_obj(obj) -> DirectedGraph:
-    if not isinstance(obj, dict):
-        raise InvalidGraph(["NotAnObject: a graph is a JSON object, not %s"
-                            % type(obj).__name__])
-    vertices = obj.get("vertices", [])
-    exceptional = obj.get("exceptional", [])
-    if not (isinstance(vertices, list) and isinstance(exceptional, list)
-            and all(isinstance(v, list) for v in vertices)):
-        raise InvalidGraph(["NotAFlagList: vertices must be a list of flag "
-                            "lists and exceptional a flag list"])
-    for f in itertools.chain(exceptional, *vertices):
-        if isinstance(f, (list, dict)):
-            raise InvalidGraph(["UnhashableFlag: flag %r" % (f,)])
-    iota = {}
-    for a, b in obj.get("iota", []):
-        iota[a], iota[b] = b, a
-    pi = {}
-    for a, b in obj.get("pi", []):
-        pi[a], pi[b] = b, a
-    loops = obj.get("loops", 0)
-    loop_flags = obj.get("loop_flags")
-    if loop_flags is not None:
-        if loop_flags % 2:
-            raise InvalidGraph(["OddLoopFlags: %d loop flags" % loop_flags])
-        loops += loop_flags // 2
+    if not all_fit([obj], _GRAPH):
+        raise InvalidGraph(["NotAGraph: %.80r is no object of flag and pair lists" % (obj,)])
+    iota, pi = {}, {}
+    for pairing, key in ((iota, "iota"), (pi, "pi")):
+        for a, b in obj.get(key, []):
+            pairing[a], pairing[b] = b, a
+    loop_flags = obj.get("loop_flags", 0)
+    if loop_flags % 2:
+        raise InvalidGraph(["OddLoopFlags: %d loop flags" % loop_flags])
     return DirectedGraph(
-        vertices,
-        exceptional,
+        obj.get("vertices", []),
+        obj.get("exceptional", []),
         iota, pi,
-        {f: d for f, d in obj.get("delta", [])},
-        {f: l for f, l in obj.get("lambda", [])},
-        {f: l for f, l in obj.get("beta", [])},
-        loops,
+        dict(obj.get("delta", [])),
+        dict(obj.get("lambda", [])),
+        dict(obj.get("beta", [])),
+        obj.get("loops", 0) + loop_flags // 2,
     )
 
 

@@ -365,15 +365,7 @@ def killing_eval(bracket, n: int, d: int) -> endo.Tensor:
 def kappa_matrix(bracket, d: int) -> List[List[Fraction]]:
     """The classical Killing form as a d-by-d matrix of rationals."""
     t = killing_eval(bracket, 2, d)
-    a1 = t.axis_pos(("in", "x1"))
-    mat = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            idx = [0, 0]
-            idx[a1] = i
-            idx[1 - a1] = j
-            mat[i][j] = t.data[tuple(idx)]
-    return mat
+    return t.data.transpose([t.axis_pos(("in", "x%d" % k)) for k in (1, 2)]).tolist()
 
 
 def matrix_rank(mat) -> int:

@@ -12,7 +12,7 @@ renaming (strict isomorphism) on graphs.
 """
 from __future__ import annotations
 
-from .errors import InvalidDiagram, InvalidGraph
+from .errors import InvalidDiagram
 from .graphs import DirectedGraph
 from .wiring import IN, OUT, Interface, WiringDiagram
 
@@ -64,10 +64,7 @@ def graph_to_wd(g: DirectedGraph) -> WiringDiagram:
                 m = g.pi[f]
                 matching[(0, OUT, a)] = (0, IN, g.beta[m])
 
-    try:
-        return WiringDiagram(output, inputs, matching, g.loop_count)
-    except Exception as exc:  # pragma: no cover - guarded by graph validation
-        raise InvalidGraph([str(exc)])
+    return WiringDiagram(output, inputs, matching, g.loop_count)
 
 
 def wd_to_graph(d: WiringDiagram) -> DirectedGraph:

@@ -12,6 +12,7 @@ contribute to the circle count.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Dict, Iterable, Mapping, Tuple
 
@@ -19,6 +20,7 @@ from .errors import (
     EndpointSetMismatch,
     IndexOutOfRange,
     InterfaceMismatch,
+    InvalidDiagram,
     NegativeCircles,
     NonBijectiveMatching,
     NotABijection,
@@ -269,6 +271,38 @@ def _interface_to_obj(i: Interface):
     return {"out": sorted(i.out_labels), "in": sorted(i.in_labels)}
 
 
+def all_fit(xs, shape) -> bool:
+    """Whether every JSON value in ``xs`` has ``shape``: ``None`` (a scalar),
+    a tuple of exact types (``True`` is no ``int``), a set of values, ``[s]``
+    (a list of ``s``), ``[s1, ..., sk]``, k > 1 (a list of k items) or a dict
+    (an object whose keys, where present, fit).  Checking a level at a time
+    over all of ``xs`` costs a few set operations in C, not a call per item.
+    """
+    if not xs:
+        return True
+    if shape is None:
+        return {list, dict}.isdisjoint(map(type, xs))
+    if isinstance(shape, tuple):
+        return set(shape).issuperset(map(type, xs))
+    if isinstance(shape, set):
+        return all_fit(xs, None) and shape.issuperset(xs)
+    if isinstance(shape, list):
+        if not ({list}.issuperset(map(type, xs))
+                and (len(shape) == 1 or {len(shape)}.issuperset(map(len, xs)))):
+            return False
+        if shape.count(shape[0]) == len(shape):
+            items = itertools.chain.from_iterable(xs)
+            return all_fit(items if shape[0] is None else list(items), shape[0])
+        return all(all_fit([x[i] for x in xs], s) for i, s in enumerate(shape))
+    return {dict}.issuperset(map(type, xs)) and all(
+        all_fit([x[k] for x in xs if k in x], s) for k, s in shape.items())
+
+
+_INTERFACE = {"out": [None], "in": [None]}
+_DIAGRAM = {"output": _INTERFACE, "inputs": [_INTERFACE],
+            "matching": [[[None, None, None], [None, None, None]]], "circles": (int,)}
+
+
 def _interface_from_obj(obj) -> Interface:
     return Interface(obj.get("out", ()), obj.get("in", ()))
 
@@ -283,11 +317,12 @@ def to_obj(d: WiringDiagram):
 
 
 def from_obj(obj) -> WiringDiagram:
-    matching = {tuple(src): tuple(dst) for src, dst in obj.get("matching", [])}
+    if not (all_fit([obj], _DIAGRAM) and "output" in obj):
+        raise InvalidDiagram("%.80r is no {output, inputs, matching, circles}" % (obj,))
     return WiringDiagram(
         _interface_from_obj(obj["output"]),
         [_interface_from_obj(i) for i in obj.get("inputs", [])],
-        matching,
+        {tuple(src): tuple(dst) for src, dst in obj.get("matching", [])},
         obj.get("circles", 0),
     )
 

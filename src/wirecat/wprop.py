@@ -25,6 +25,7 @@ from . import endo, graphs
 from .errors import (
     ArityMismatch,
     BoundaryMismatch,
+    InvalidGraph,
     LabelClash,
     NotABijection,
     UnknownLabel,
@@ -39,7 +40,7 @@ from .graphs import (
     substitute_all,
 )
 from .translate import wd_to_graph
-from .wiring import IN, OUT, WiringDiagram, resolve_strands
+from .wiring import IN, OUT, WiringDiagram, all_fit, resolve_strands
 
 #: A vertex decoration: (generator symbol, in-labels in slot order, out-labels
 #: in slot order).  The label tuples fix how the vertex's flags fill the
@@ -288,7 +289,6 @@ def flatten(outer: DirectedGraph, inner: Sequence[FreeElement]) -> FreeElement:
                 "element %d boundary %r != neighbourhood %r"
                 % (k + 1, e.boundary(), outer.neighbourhood(k + 1)))
     ins, outs = outer.boundary()
-    result = FreeElement(ins, outs)
     choices = [list(e.terms.values()) for e in inner]
     out_terms = []
     for combo in itertools.product(*choices):
@@ -611,13 +611,18 @@ def to_obj(a: FreeElement):
             "terms": terms}
 
 
+_ELEMENT = {"in": [None], "out": [None], "terms": [{"decor": [[None, [None], [None]]]}]}
+
+
 def from_obj(obj) -> FreeElement:
+    if not all_fit([obj], _ELEMENT):
+        raise InvalidGraph(["NotAnElement: %.80r is no {in, out, terms}" % (obj,)])
     terms = []
     for t in obj.get("terms", []):
         decor = tuple((sym, tuple(ins), tuple(outs))
                       for sym, ins, outs in t.get("decor", []))
         terms.append((Fraction(t.get("coeff", 1)),
-                      graphs.from_obj(t["graph"]), decor))
+                      graphs.from_obj(t.get("graph")), decor))
     return FreeElement(obj.get("in", ()), obj.get("out", ()), terms)
 
 

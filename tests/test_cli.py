@@ -59,6 +59,14 @@ def test_validate_domain_error_exit_1():
     ("tensor", '{"dim": 2, "axes": [["in", "a", "b"]], "data": ["1", "2"]}'),
     ("tensor", '{"dim": 2, "axes": [["in", "a"]], "data": [["1"], "2"]}'),
     ("tensor", '{"dim": 2, "axes": [["in", "a"]], "data": ["1/0", "2"]}'),
+    ("tensor", '{"dim": 1, "axes": [], "data": [0.1]}'),
+    ("tensor", '{"dim": 1, "axes": [], "data": [true]}'),
+    ("wd", "[]"),
+    ("wd", '{"output": 5}'),
+    ("wd", '{"output": {"out": [], "in": []}, "circles": 1.5}'),
+    ("element", "[]"),
+    ("graph", '{"iota": 5}'),
+    ("graph", '{"vertices": [["a"]], "delta": 5}'),
 ])
 def test_malformed_input_names_its_error(kind, text, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
@@ -67,6 +75,23 @@ def test_malformed_input_names_its_error(kind, text, monkeypatch, capsys):
     assert not out
     name = json.loads(err)["error"]
     assert issubclass(getattr(errors, name), errors.WirecatError)
+
+
+@pytest.mark.parametrize("entry", [0.5, True, "1/0"])
+def test_bindings_and_brackets_must_be_exact(entry, tmp_path, capsys):
+    [(_, g, decor)] = list(lie.kappa_element(2).terms.values())
+    (tmp_path / "g.json").write_text(json.dumps({
+        "graph": graphs.to_obj(g),
+        "decor": [[sym, list(ins), list(outs)] for sym, ins, outs in decor],
+    }))
+    (tmp_path / "b.json").write_text(json.dumps([[[entry]]]))
+    (tmp_path / "bind.json").write_text(json.dumps({"br": [[[entry]]]}))
+    for argv in (["killing", "--bracket", str(tmp_path / "b.json"), "--n", "2"],
+                 ["eval", "--dim", "1", str(tmp_path / "g.json"),
+                  str(tmp_path / "bind.json")]):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert not out and json.loads(err)["error"] == "InvalidTensor"
 
 
 def test_usage_error_exit_2():

@@ -84,6 +84,9 @@ def test_axes_are_canonically_ordered():
 def test_duplicate_axes_rejected():
     with pytest.raises(LabelClash):
         Tensor(2, [(IN, "a"), (IN, "a")], [[1, 0], [0, 1]])
+    # Results built without re-coercing their entries keep the check.
+    with pytest.raises(LabelClash):
+        identity_tensor("a", 2).rename_axes({(IN, "a"): (OUT, "a")})
 
 
 def test_scalar_value_and_add():
@@ -187,6 +190,60 @@ def test_evaluate_graph_matches_state_sum():
             assert endo.evaluate_graph(g, tensors, d) == \
                 state_sum(g, tensors, d)
             checked += 1
+
+
+def ring_graph(k):
+    """k vertices in a ring, each with in-axes x and c and out-axis y: the y
+    of vertex j feeds the c of vertex j+1 (mod k), and each x is a boundary
+    leg.  This is the shape of the k-th Killing form."""
+    vertices = [[3 * j, 3 * j + 1, 3 * j + 2] for j in range(k)]
+    iota = {}
+    for j in range(k):
+        y, c = 3 * j + 2, 3 * ((j + 1) % k) + 1
+        iota[y], iota[c] = c, y
+    delta = {f: -1 if f % 3 == 2 else 1 for f in range(3 * k)}
+    lam = {f: "xcy"[f % 3] for f in range(3 * k)}
+    beta = {3 * j: "x%d" % j for j in range(k)}
+    return DirectedGraph(vertices, (), iota, {}, delta, lam, beta, 0)
+
+
+def test_ring_evaluates_at_its_planned_peak():
+    # In vertex order the running product holds x_0..x_j, the open c of
+    # vertex 0 and the open y of vertex j: j+3 axes, k+1 at j = k-2.
+    rng = random.Random(47)
+    d = 2
+    for k in range(2, 7):
+        g = ring_graph(k)
+        tensors = [random_tensor(rng, d, ["c", "x"], ["y"]) for _ in range(k)]
+        got = endo.evaluate_graph(g, tensors, d, cap_power=k + 1)
+        assert got == state_sum(g, tensors, d)
+        with pytest.raises(SizeCapExceeded):
+            endo.evaluate_graph(g, tensors, d, cap_power=k)
+
+
+def test_results_hold_only_fractions():
+    from wirecat.graphs import free_edge, free_loop
+    rng = random.Random(48)
+    d = 2
+    s = random_tensor(rng, d, ["a"], ["b"])
+    t = random_tensor(rng, d, ["c"], ["e"])
+    ring = ring_graph(3)
+    results = [
+        tensor_product(s, t),
+        trace_contract(s, "a", "b"),
+        s.scale(3),
+        s.scale(0),
+        s + s,
+        s.rename_axes({(IN, "a"): (IN, "z")}),
+        endo.evaluate_graph(ring, [random_tensor(rng, d, ["c", "x"], ["y"])
+                                   for _ in range(3)], d),
+        endo.evaluate_graph(chain_graph(), [mat_to_tensor([[1, 2], [3, 4]], d, "a", "m"),
+                                            mat_to_tensor([[0, 1], [1, 0]], d, "m", "b")], d),
+        endo.evaluate_graph(free_edge("p", "q"), [], d),
+        endo.evaluate_graph(free_loop(2), [], d),
+    ]
+    for r in results:
+        assert all(type(x) is Fraction for x in r.data.reshape(-1)), r
 
 
 def test_state_sum_of_a_chain_is_composition():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from wirecat import lie
-from wirecat.errors import BoundExceeded, NotMultilinear
+from wirecat.errors import BoundExceeded, NotMultilinear, SizeCapExceeded
 from wirecat.lie import (
     Eliminator,
     TraceSpace,
@@ -242,6 +242,14 @@ def test_kappa_sl2_values_both_methods():
             assert K[i][j] == ad_trace_kappa(B, 3, (i, j))
 
 
+def killing_entry(t, idx):
+    """The entry of a Killing form at x1 = e_{idx[0]}, x2 = e_{idx[1]}, ..."""
+    pos = [0] * len(idx)
+    for k, i in enumerate(idx):
+        pos[t.axis_pos(("in", "x%d" % (k + 1)))] = i
+    return t.data[tuple(pos)]
+
+
 def test_kappa_n_matches_ad_trace_on_random_brackets():
     rng = random.Random(65)
     for n in (2, 3):
@@ -251,10 +259,27 @@ def test_kappa_n_matches_ad_trace_on_random_brackets():
                   for _ in range(d)] for _ in range(d)]
             t = killing_eval(B, n, d)
             for idx in itertools.product(range(d), repeat=n):
-                pos = [0] * n
-                for k, i in enumerate(idx):
-                    pos[t.axis_pos(("in", "x%d" % (k + 1)))] = i
-                assert t.data[tuple(pos)] == ad_trace_kappa(B, d, idx)
+                assert killing_entry(t, idx) == ad_trace_kappa(B, d, idx)
+
+
+def test_kappa_9_fits_under_the_default_cap():
+    B = sl2_bracket()
+    t = killing_eval(B, 9, 3)
+    rng = random.Random(66)
+    for _ in range(200):
+        idx = tuple(rng.randrange(3) for _ in range(9))
+        assert killing_entry(t, idx) == ad_trace_kappa(B, 3, idx)
+
+
+def test_kappa_limit_is_n_12():
+    # Contracting the ring in vertex order peaks at n+1 axes, so n = 11 is
+    # the last to fit under the default cap of 12.  At d = 1 every tensor has
+    # one entry, and [e, e] = 2e gives tr((ad e)^n) = 2^n.
+    B = [[[Fraction(2)]]]
+    for n in (9, 10, 11):
+        assert killing_eval(B, n, 1).data.reshape(-1)[0] == 2 ** n
+    with pytest.raises(SizeCapExceeded):
+        killing_eval(B, 12, 1)
 
 
 def test_kappa_is_symmetric_for_sl2():
