@@ -598,14 +598,13 @@ def signature_from_obj(obj) -> Signature:
 
 
 def to_obj(a: FreeElement):
-    terms = []
-    for key in sorted(a.terms, key=repr):
-        coeff, graph, decor = a.terms[key]
-        terms.append({
-            "coeff": str(coeff),
-            "graph": graphs.to_obj(graph),
-            "decor": [[sym, list(ins), list(outs)] for sym, ins, outs in decor],
-        })
+    """The element as JSON; terms in the order of their own serialised form,
+    so the printed order does not depend on the form of the term keys."""
+    terms = [{"coeff": str(coeff),
+              "graph": graphs.to_obj(graph),
+              "decor": [[sym, list(ins), list(outs)] for sym, ins, outs in decor]}
+             for coeff, graph, decor in a.terms.values()]
+    terms.sort(key=lambda t: json.dumps(t, sort_keys=True))
     return {"in": sorted(a.in_labels, key=repr),
             "out": sorted(a.out_labels, key=repr),
             "terms": terms}

@@ -242,13 +242,14 @@ def test_lie_and_trace_dim_goldens(args, capsys):
 
 
 # sha256 of the standard output of ten seeded calls (seeds 0..9) of each
-# command below.  Flag ids, matching order and term order in that output come
-# from how the glued strands are resolved and named, so a change there shows.
+# command below.  Flag ids and matching order in that output come from how the
+# glued strands are resolved and named, so a change there shows.  Terms are
+# printed in the order of their own serialised JSON (not of their keys).
 STRAND_GOLDENS = {
     "compose": "4aa416b4b5482722437d60f614c7c5fb738cc4d84aeeda746108e4ffa27f9ffb",
     "substitute": "fc490971f9e0d1faa5913ab65d31613781c98822701373de994827170dc064ae",
-    "flatten": "5e26542bd6929372f0a0ea3e7163f39d33f43de0ac48990f3657b0cf2d2f142c",
-    "compose-free": "e57e7bc3b65619af76c22dc1a75dd1352cd7c143b4f537953ace30ba27d2b945",
+    "flatten": "12c57b7fe3c0c1b5c801c45c9b7250fb4374c0ece9856042e0103821cf385503",
+    "compose-free": "180f331251579a20529f2836005264005c56aaac3806a993357168b0f25b8d15",
 }
 
 
