@@ -53,10 +53,6 @@ class BoundaryMismatch(WirecatError):
     """A graph being substituted does not have the required boundary."""
 
 
-class TooManyVertices(WirecatError):
-    """Brute-force isomorphism search exceeded the configured vertex bound."""
-
-
 # -- free wheeled prop -------------------------------------------------------
 
 class ArityMismatch(WirecatError):

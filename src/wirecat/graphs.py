@@ -17,25 +17,14 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     BoundaryMismatch,
     InvalidGraph,
-    TooManyVertices,
     UnknownVertex,
 )
 from .wiring import all_fit, resolve_strands
-
-DEFAULT_BRUTE_FORCE_BOUND = 8
-
-
-def brute_force_bound(override: Optional[int] = None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get("WIRECAT_BRUTE_FORCE_BOUND")
-    return int(env) if env else DEFAULT_BRUTE_FORCE_BOUND
 
 
 class DirectedGraph:
@@ -177,32 +166,107 @@ class DirectedGraph:
 
 # -- canonical forms ---------------------------------------------------------
 
-def _flag_key(g: DirectedGraph, f):
-    """Identify a flag without its name: by vertex position, sign and label."""
-    if f in g._vertex_of:
-        return ("v", g._vertex_of[f], g.delta[f], g.lam[f])
-    return ("x", g.delta[f], g.beta[f])
+def _key(g: DirectedGraph, order: Sequence[int]):
+    """``g`` without flag names, its vertices (0-based) taken in ``order``: each
+    vertex lists its flags by direction and label, each with its boundary
+    label, or with its mate's label and the position of the mate's vertex."""
+    position = {v: k for k, v in enumerate(order)}
+
+    def record(f):
+        mate = g.iota.get(f, f)
+        if mate == f:
+            return (g.delta[f], g.lam[f], "b", g.beta[f])
+        return (g.delta[f], g.lam[f], "e", g.lam[mate], position[g._vertex_of[mate]])
+    verts = tuple(tuple(map(record, sorted(g.vertices[v], key=lambda f: (
+        g.delta[f], repr(g.lam[f]))))) for v in order)
+    free_edges = sorted(((g.beta[f], g.beta[m]) for f, m in g.pi.items()
+                         if g.delta[f] == 1), key=repr)
+    return (verts, tuple(free_edges), g.loop_count)
+
+
+def _dense(values):
+    """Each value's rank among the distinct ``values``."""
+    rank = {x: i for i, x in enumerate(sorted(set(values)))}
+    return [rank[x] for x in values]
+
+
+def _labelling(g: DirectedGraph, colours: Sequence[int]) -> List[int]:
+    """A canonical vertex order (0-based) of ``g`` with initial vertex colours
+    ``colours``, by individualisation and refinement (McKay & Piperno,
+    "Practical graph isomorphism II", 2014): refinement splits colour classes
+    by the colours at the far ends of each vertex's edges until nothing
+    splits, and the search individualises in turn each vertex of the tied cell
+    with the smallest colour.  The least leaf by (cell structures on its path,
+    certificate) wins.  Tied leaves reveal automorphisms; those that fix the
+    path to a node prune its children.
+    """
+    vertices = range(g.r)
+    records = _key(g, vertices)[0]  # the mates' vertices stand in for positions
+    local = _dense([repr((colours[v], [r[:4] for r in records[v]])) for v in vertices])
+    mates = [[r[4] for r in records[v] if r[2] == "e"] for v in vertices]
+    best, autos = [], []
+
+    def refine(col):
+        while True:
+            new = _dense([(col[v], tuple(col[w] for w in mates[v])) for v in vertices])
+            if len(set(new)) == len(set(col)):
+                return new
+            col = new
+
+    def search(col, trace, path):
+        """Explore the node ``path``; return the depth to carry on at."""
+        if best and trace > best[0][0][:len(trace)]:
+            return len(path)
+        cells = [list(cell) for _, cell in itertools.groupby(
+            sorted(vertices, key=col.__getitem__), col.__getitem__)]
+        tied = [cell for cell in cells if len(cell) > 1]
+        if not tied:  # col[v] is the position of v
+            order = [cell[0] for cell in cells]
+            key = (trace, [(local[v], [col[w] for w in mates[v]]) for v in order])
+            if not best or key < best[0]:
+                best[:] = key, order, path
+            if key != best[0] or order == best[1]:
+                return len(path)
+            # An automorphism: it fixes the node where this path leaves the
+            # best one, and maps the explored child there to this path's.
+            autos.append([w for _, w in sorted(zip(best[1], order))])
+            return next(k for k, (v, w) in enumerate(zip(path, best[2])) if v != w)
+        children, seen = [], set()
+        for v in tied[0]:
+            if v not in seen:  # one child per orbit of the known automorphisms
+                seen |= _orbit([v], autos, path)
+                child = refine([2 * c + (u != v) for u, c in enumerate(col)])
+                children.append((tuple(sorted(child)), v, child))
+        done, seen = [], set()
+        for cells, v, child in sorted(children):
+            if v not in seen:
+                back = search(child, trace + (cells,), path + [v])
+                if back < len(path):
+                    return back
+                done.append(v)
+                seen = _orbit(done, autos, path)
+        return len(path)
+
+    col = refine(local)
+    search(col, (tuple(sorted(col)),), [])
+    return best[1]
+
+
+def _orbit(points, autos, fixed):
+    """The orbit of ``points`` under the automorphisms that fix ``fixed``."""
+    gens = [a for a in autos if all(a[p] == p for p in fixed)]
+    seen, todo = set(points), list(points)
+    while todo:
+        x = todo.pop()
+        new = {a[x] for a in gens} - seen
+        seen |= new
+        todo += new
+    return seen
 
 
 def canonical_form(g: DirectedGraph):
     """A flag-name-free structure; equal iff the graphs are strictly isomorphic."""
-    verts = []
-    for v in g.vertices:
-        records = []
-        for f in v:
-            mate = g.iota.get(f, f)
-            if mate == f:
-                conn = ("b", g.beta[f])
-            else:
-                conn = ("e",) + _flag_key(g, mate)
-            records.append((g.delta[f], g.lam[f], conn))
-        verts.append(tuple(sorted(records, key=repr)))
-    free_edges = set()
-    for f, m in g.pi.items():
-        pair = tuple(sorted([(g.delta[f], g.beta[f]), (g.delta[m], g.beta[m])],
-                            key=repr))
-        free_edges.add(pair)
-    return (tuple(verts), tuple(sorted(free_edges, key=repr)), g.loop_count)
+    return _key(g, range(g.r))
 
 
 def is_isomorphic_strict(g: DirectedGraph, h: DirectedGraph) -> bool:
@@ -219,90 +283,26 @@ def reorder(g: DirectedGraph, order: Sequence[int]) -> DirectedGraph:
                          g.lam, g.beta, g.loop_count)
 
 
-def is_isomorphic_loose(g: DirectedGraph, h: DirectedGraph,
-                        bound: Optional[int] = None) -> Optional[Tuple[int, ...]]:
-    """A vertex-order permutation carrying ``g`` to ``h``, or ``None``."""
-    if g.r != h.r or g.boundary() != h.boundary():
-        return None
-    limit = brute_force_bound(bound)
-    if g.r > limit:
-        raise TooManyVertices("%d vertices exceeds bound %d" % (g.r, limit))
-    target = canonical_form(h)
-    for order in itertools.permutations(range(1, g.r + 1)):
-        if canonical_form(reorder(g, order)) == target:
-            return order
-    return None
-
-
-def _local_invariant(g: DirectedGraph, vidx: int, decoration):
-    """A vertex fingerprint independent of vertex numbering."""
-    records = []
-    for f in g.vertices[vidx]:
-        mate = g.iota.get(f, f)
-        if mate == f:
-            conn = ("b", g.beta[f])
-        else:
-            conn = ("e", "", g.delta[mate], g.lam[mate])
-        records.append((g.delta[f], g.lam[f], conn))
-    return (decoration, tuple(sorted(records, key=repr)))
-
-
 def loose_canonical_form(g: DirectedGraph, decorations: Optional[Sequence] = None,
-                         bound: Optional[int] = None,
                          with_order: bool = False):
     """A canonical key invariant under vertex reordering.
 
     ``decorations`` optionally attaches one comparable value per vertex that
-    must travel with it.  Vertices are first partitioned by an iterated
-    neighbour-refinement fingerprint; only ties are resolved by brute force,
-    and a tie block larger than the bound raises ``TooManyVertices``.
-    """
-    r = g.r
-    if decorations is None:
-        decorations = [None] * r
-    decorations = list(decorations)
-    inv = [_local_invariant(g, i, repr(decorations[i])) for i in range(r)]
-    for _ in range(r):
-        nxt = []
-        for i in range(r):
-            nbrs = []
-            for f in g.vertices[i]:
-                mate = g.iota.get(f, f)
-                if mate != f and mate in g._vertex_of:
-                    j = g._vertex_of[mate]
-                    nbrs.append(((g.delta[f], g.lam[f], g.delta[mate], g.lam[mate]),
-                                 inv[j]))
-            nxt.append((inv[i], tuple(sorted(nbrs, key=repr))))
-        if len(set(nxt)) == len(set(inv)) and all(
-                (inv[i] == inv[j]) == (nxt[i] == nxt[j])
-                for i in range(r) for j in range(i + 1, r)):
-            break
-        inv = nxt
+    must travel with it.  ``with_order`` also returns the order of the
+    vertices in the key, as ``reorder`` takes it."""
+    decorations = [None] * g.r if decorations is None else list(decorations)
+    order = _labelling(g, _dense([repr(d) for d in decorations]))
+    key = (_key(g, order), tuple(decorations[v] for v in order))
+    return (key, tuple(v + 1 for v in order)) if with_order else key
 
-    # Sort vertices by fingerprint; equal fingerprints form tie blocks.
-    limit = brute_force_bound(bound)
-    by_inv = sorted(range(r), key=lambda i: (repr(inv[i]), i))
-    blocks = []
-    for _, grp in itertools.groupby(by_inv, key=lambda i: repr(inv[i])):
-        blocks.append(list(grp))
-    for b in blocks:
-        if len(b) > limit:
-            raise TooManyVertices(
-                "tie block of %d vertices exceeds bound %d" % (len(b), limit))
 
-    best = None
-    best_order = None
-    for perms in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        order = [i + 1 for p in perms for i in p]
-        cand = (canonical_form(reorder(g, order)),
-                tuple(decorations[i - 1] for i in order))
-        if best is None or repr(cand) < repr(best):
-            best = cand
-            best_order = tuple(order)
-    if best is None:  # no vertices at all
-        best = (canonical_form(g), ())
-        best_order = ()
-    return (best, best_order) if with_order else best
+def is_isomorphic_loose(g: DirectedGraph, h: DirectedGraph) -> Optional[Tuple[int, ...]]:
+    """An order ``o`` with ``reorder(g, o)`` strictly isomorphic to ``h``, or None."""
+    (key_g, order_g), (key_h, order_h) = (loose_canonical_form(x, with_order=True)
+                                          for x in (g, h))
+    if key_g != key_h:
+        return None
+    return tuple(v for _, v in sorted(zip(order_h, order_g)))
 
 
 # -- corollas and substitution ----------------------------------------------

@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from wirecat import graphs
-from wirecat.errors import InvalidGraph, TooManyVertices, UnknownVertex
+from wirecat.errors import InvalidGraph, UnknownVertex
 from wirecat.graphs import (
     DirectedGraph,
     canonical_form,
@@ -128,15 +129,129 @@ def test_loose_iso_negative():
     assert is_isomorphic_loose(g, h) is None
 
 
-def test_brute_force_bound_env(monkeypatch):
-    assert graphs.brute_force_bound() == 8
-    monkeypatch.setenv("WIRECAT_BRUTE_FORCE_BOUND", "1")
-    assert graphs.brute_force_bound() == 1
-    g = DirectedGraph([[0], [1]], (), {}, {}, {0: 1, 1: 1},
-                      {0: "a", 1: "a"}, {0: "p", 1: "q"}, 0)
-    with pytest.raises(TooManyVertices):
-        is_isomorphic_loose(g, g)
-    assert is_isomorphic_loose(g, g, bound=2) is not None
+def loosely_isomorphic(g, g_decor, h, h_decor):
+    """Brute force: whether some vertex order of ``g``, each decoration moving
+    with its vertex, is strictly isomorphic to ``h`` with its decorations."""
+    target = (canonical_form(h), tuple(h_decor))
+    return g.r == h.r and any(
+        (canonical_form(reorder(g, order)), tuple(g_decor[i - 1] for i in order)) == target
+        for order in itertools.permutations(range(1, g.r + 1)))
+
+
+def shuffled(rng, g, decor):
+    """``g`` with its vertices in random order and its flags renamed at random,
+    with the decorations moved along."""
+    order = list(range(1, g.r + 1))
+    rng.shuffle(order)
+    table = dict(zip(g.delta, rng.sample(range(10 * len(g.delta) + 10), len(g.delta))))
+    return (rename_flags(reorder(g, order), table.__getitem__),
+            [decor[i - 1] for i in order])
+
+
+def cover_graph(base_r, edges, k):
+    """The k-fold cyclic cover of a closed graph on ``base_r`` vertices: its
+    edge number e, ``(u, v, s)``, lifts to the edges from (u, i) to
+    (v, i + s mod k) at the ports ``o<e>`` and ``i<e>``.  Colour refinement
+    alone cannot split the k lifts of a vertex."""
+    vertices = [[] for _ in range(base_r * k)]
+    delta, lam, iota = {}, {}, {}
+    for e, (u, v, s) in enumerate(edges):
+        for i in range(k):
+            out, inn = len(delta), len(delta) + 1
+            delta[out], lam[out], delta[inn], lam[inn] = -1, "o%d" % e, 1, "i%d" % e
+            vertices[u * k + i].append(out)
+            vertices[v * k + (i + s) % k].append(inn)
+            iota[out], iota[inn] = inn, out
+    return DirectedGraph(vertices, (), iota, {}, delta, lam, {}, 0)
+
+
+def random_cover(rng, max_vertices):
+    base_r = rng.randint(1, 2)
+    k = rng.randint(1, max_vertices // base_r)
+    return cover_graph(base_r, random_voltages(rng, base_r, k, rng.randint(1, 3)), k)
+
+
+def random_voltages(rng, base_r, k, n_edges):
+    return [(rng.randrange(base_r), rng.randrange(base_r), rng.randrange(k))
+            for _ in range(n_edges)]
+
+
+def union(parts):
+    """The disjoint union of the graphs ``parts``, vertices in part order."""
+    def merged(field):
+        return {(k, a): b for k, g in enumerate(parts) for a, b in getattr(g, field).items()}
+    def paired(field):
+        return {(k, a): (k, b) for k, g in enumerate(parts)
+                for a, b in getattr(g, field).items()}
+    return DirectedGraph(
+        [[(k, f) for f in v] for k, g in enumerate(parts) for v in g.vertices],
+        [(k, f) for k, g in enumerate(parts) for f in g.exceptional],
+        paired("iota"), paired("pi"), merged("delta"), merged("lam"),
+        merged("beta"), sum(g.loop_count for g in parts))
+
+
+def assert_keys_match_oracle(pool):
+    """Equal loose keys exactly on the brute-force isomorphic pairs of
+    ``pool``; returns the number of isomorphic pairs."""
+    keys = [loose_canonical_form(g, decor) for g, decor in pool]
+    same = 0
+    for (a, (g, dg)), (b, (h, dh)) in itertools.combinations(enumerate(pool), 2):
+        if g.r == h.r and g.boundary() == h.boundary():
+            iso = loosely_isomorphic(g, dg, h, dh)
+            assert (keys[a] == keys[b]) == iso, (graphs.to_json(g), dg,
+                                                 graphs.to_json(h), dh)
+            same += iso
+    return same
+
+
+def test_loose_key_agrees_with_brute_force_oracle():
+    rng = random.Random(40)
+    pool = []
+    for _ in range(100):
+        g = random_graph(rng, max_vertices=4, max_flags=2, max_free_edges=1, max_loops=1)
+        decor = [rng.choice("AB") for _ in range(g.r)]
+        pool += [(g, decor), shuffled(rng, g, decor)]
+    same = assert_keys_match_oracle(pool)
+    for _ in range(40):
+        # Covers of one shape, alike to colour refinement.
+        base_r, k = rng.choice([(1, 3), (1, 4), (1, 5), (2, 2)])
+        n_edges = rng.randint(1, 3)
+        decor = [rng.choice("AB") for _ in range(base_r * k)]
+        pool = []
+        for _ in range(3):
+            g = cover_graph(base_r, random_voltages(rng, base_r, k, n_edges), k)
+            pool += [(g, decor), shuffled(rng, g, decor)]
+        same += assert_keys_match_oracle(pool)
+    assert same > 200
+
+
+def test_loose_key_agrees_with_oracle_on_unions_of_identical_parts():
+    rng = random.Random(41)
+    parts = []
+    for _ in range(6):
+        part = random_cover(rng, 3)
+        parts.append((part, [rng.choice("AB") for _ in range(part.r)]))
+    pool = []
+    for _ in range(60):
+        picked = []
+        while sum(p[0].r for p in picked) < 4:
+            picked += [rng.choice(parts)] * rng.randint(1, 2)
+        g = union([p[0] for p in picked])
+        pool.append(shuffled(rng, g, [d for p in picked for d in p[1]]))
+    assert assert_keys_match_oracle(pool) > 50
+
+
+def test_loose_key_has_no_size_limit():
+    rng = random.Random(42)
+    cases = [(cover_graph(1, [(0, 0, 1)], n), [None] * n) for n in range(9, 31)]
+    part = cover_graph(2, [(0, 1, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], 1)
+    for k in range(9, 13):
+        cases.append((union([part] * k), ["A", "B"] * k))
+    for g, decor in cases:
+        h, h_decor = shuffled(rng, g, decor)
+        assert loose_canonical_form(g, decor) == loose_canonical_form(h, h_decor)
+        order = is_isomorphic_loose(g, h)
+        assert is_isomorphic_strict(reorder(g, order), h)
 
 
 def test_reorder_rejects_non_permutation():
