@@ -14,7 +14,7 @@ import random
 import sys
 
 from . import endo, graphs, lie, wiring, wprop
-from .errors import WirecatError
+from .errors import ArityMismatch, InvalidGraph, InvalidTensor, WirecatError
 from .sampling import endo_sampler, free_sampler
 from .translate import graph_to_wd, wd_to_graph
 
@@ -40,10 +40,13 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _fractions(x):
-    if isinstance(x, list):
-        return [_fractions(v) for v in x]
-    return endo.rational(x)
+def _array(x, d: int, depth: int):
+    """``x`` as ``depth`` nested lists of ``d`` exact rationals each."""
+    if not depth:
+        return endo.rational(x)
+    if not (isinstance(x, list) and len(x) == d):
+        raise InvalidTensor("%.80r is no array of shape %r of rationals" % (x, (d,) * depth))
+    return [_array(y, d, depth - 1) for y in x]
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -116,13 +119,24 @@ def cmd_axioms(args):
     return 0 if report["ok"] else 1
 
 
+_EVAL = {"graph": {}, "decor": [[None, [None], [None]]]}
+
+
 def cmd_eval(args):
     obj = json.loads(_read(args.file))
+    if not (wiring.all_fit([obj], _EVAL) and "graph" in obj):
+        raise InvalidGraph(["NotAnEvalInput: %.80r is no {graph, decor: "
+                            "[[symbol, in-labels, out-labels]]}" % (obj,)])
     g = graphs.from_obj(obj["graph"])
-    decor = [(sym, tuple(ins), tuple(outs))
-             for sym, ins, outs in obj.get("decor", [])]
-    bind = {sym: _fractions(raw)
-            for sym, raw in json.loads(_read(args.bindings)).items()}
+    decor = [(sym, tuple(ins), tuple(outs)) for sym, ins, outs in obj.get("decor", [])]
+    raw = json.loads(_read(args.bindings))
+    if not wiring.all_fit([raw], {}):
+        raise InvalidTensor("bindings %.80r are no {symbol: nested array}" % (raw,))
+    rank = {sym: len(ins) + len(outs) for sym, ins, outs in decor}
+    if not set(rank) <= set(raw):
+        raise ArityMismatch("no binding for generators %r"
+                            % sorted(set(rank) - set(raw), key=repr))
+    bind = {sym: _array(raw[sym], args.dim, k) for sym, k in rank.items()}
     _write(endo.to_json(endo.evaluate_decorated(g, decor, bind, args.dim)))
     return 0
 
@@ -140,8 +154,11 @@ def cmd_trace_dim(args):
 
 
 def _load_bracket(path):
-    raw = _fractions(json.loads(_read(path)))
-    return raw, len(raw)
+    """A bracket file's nested (d, d, d) list of exact rationals, and d."""
+    raw = json.loads(_read(path))
+    if not (isinstance(raw, list) and raw):
+        raise InvalidTensor("%.80r is no array of shape (d, d, d) of rationals" % (raw,))
+    return _array(raw, len(raw), 3), len(raw)
 
 
 def cmd_killing(args):
@@ -258,8 +275,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (WirecatError, OSError, json.JSONDecodeError, KeyError,
-            ValueError) as exc:
+    except (WirecatError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         sys.stderr.write(_dump({"error": type(exc).__name__,
                                 "message": str(exc)}) + "\n")
         return 1

@@ -120,7 +120,8 @@ class DirectedGraph:
                 bad.append("LabelCollision: beta not injective on sign %+d" % sign)
 
         if self.loop_count < 0 or self.loop_count != int(self.loop_count):
-            bad.append("OddLoopFlags: loop flag count is not an even nonnegative number")
+            bad.append("LoopCount: %r is not a nonnegative number of free loops"
+                       % (self.loop_count,))
         return bad
 
     # -- structure -----------------------------------------------------------
@@ -468,8 +469,9 @@ def from_obj(obj) -> DirectedGraph:
         for a, b in obj.get(key, []):
             pairing[a], pairing[b] = b, a
     loop_flags = obj.get("loop_flags", 0)
-    if loop_flags % 2:
-        raise InvalidGraph(["OddLoopFlags: %d loop flags" % loop_flags])
+    if loop_flags % 2 or loop_flags < 0:
+        raise InvalidGraph(["OddLoopFlags: %d is not an even nonnegative number of "
+                            "loop flags" % loop_flags])
     return DirectedGraph(
         obj.get("vertices", []),
         obj.get("exceptional", []),

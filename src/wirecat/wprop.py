@@ -26,6 +26,7 @@ from .errors import (
     ArityMismatch,
     BoundaryMismatch,
     InvalidGraph,
+    InvalidTensor,
     LabelClash,
     NotABijection,
     UnknownLabel,
@@ -618,10 +619,13 @@ def from_obj(obj) -> FreeElement:
         raise InvalidGraph(["NotAnElement: %.80r is no {in, out, terms}" % (obj,)])
     terms = []
     for t in obj.get("terms", []):
+        try:
+            coeff = endo.rational(t.get("coeff", 1))
+        except InvalidTensor as exc:
+            raise InvalidGraph(["NotAnElement: coeff %s" % exc]) from None
         decor = tuple((sym, tuple(ins), tuple(outs))
                       for sym, ins, outs in t.get("decor", []))
-        terms.append((Fraction(t.get("coeff", 1)),
-                      graphs.from_obj(t.get("graph")), decor))
+        terms.append((coeff, graphs.from_obj(t.get("graph")), decor))
     return FreeElement(obj.get("in", ()), obj.get("out", ()), terms)
 
 

@@ -67,6 +67,8 @@ def test_validate_domain_error_exit_1():
     ("element", "[]"),
     ("graph", '{"iota": 5}'),
     ("graph", '{"vertices": [["a"]], "delta": 5}'),
+    ("element", '{"in": [], "out": [], "terms": [{"graph": {"loops": 1}, "coeff": "1/0"}]}'),
+    ("element", '{"in": [], "out": [], "terms": [{"graph": {"loops": 1}, "coeff": 0.1}]}'),
 ])
 def test_malformed_input_names_its_error(kind, text, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
@@ -90,6 +92,46 @@ def test_bindings_and_brackets_must_be_exact(entry, tmp_path, capsys):
                  ["eval", "--dim", "1", str(tmp_path / "g.json"),
                   str(tmp_path / "bind.json")]):
         assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert not out and json.loads(err)["error"] == "InvalidTensor"
+
+
+def test_negative_loop_count_is_named_as_such(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"vertices": [], "loops": -1}'))
+    assert cli.main(["validate", "--type", "graph", "-"]) == 1
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert "LoopCount: -1" in message and "flag" not in message
+
+
+@pytest.mark.parametrize("eval_input, bindings", [
+    ({}, None),
+    ("two-item decoration", None),
+    (None, []),
+    (None, {}),
+    (None, {"br": [[["1"]], [["1", "2"]]]}),
+])
+def test_eval_input_shape_names_its_error(eval_input, bindings, tmp_path, capsys):
+    [(_, g, decor)] = list(lie.kappa_element(2).terms.values())
+    decor = [[sym, list(ins), list(outs)] for sym, ins, outs in decor]
+    if eval_input == "two-item decoration":
+        eval_input = {"graph": graphs.to_obj(g), "decor": [d[:2] for d in decor]}
+    (tmp_path / "g.json").write_text(json.dumps(
+        {"graph": graphs.to_obj(g), "decor": decor} if eval_input is None else eval_input))
+    (tmp_path / "b.json").write_text(json.dumps(
+        {"br": lie.sl2_bracket()} if bindings is None else bindings, default=str))
+    assert cli.main(["eval", "--dim", "3", str(tmp_path / "g.json"),
+                     str(tmp_path / "b.json")]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert issubclass(getattr(errors, json.loads(err)["error"]), errors.WirecatError)
+
+
+@pytest.mark.parametrize("bracket", [[[1]], [[1, 2, 3, 4], [5, 6, 7, 8]],
+                                     [[[1, 2], [3, 4]]], [], [[[[1]]]]])
+def test_bracket_must_be_a_cube(bracket, tmp_path, capsys):
+    (tmp_path / "b.json").write_text(json.dumps(bracket))
+    for argv in (["killing", "--n", "2"], ["semisimple"]):
+        assert cli.main(argv + ["--bracket", str(tmp_path / "b.json")]) == 1
         out, err = capsys.readouterr()
         assert not out and json.loads(err)["error"] == "InvalidTensor"
 
