@@ -128,7 +128,8 @@ def cmd_eval(args):
         raise InvalidGraph(["NotAnEvalInput: %.80r is no {graph, decor: "
                             "[[symbol, in-labels, out-labels]]}" % (obj,)])
     g = graphs.from_obj(obj["graph"])
-    decor = [(sym, tuple(ins), tuple(outs)) for sym, ins, outs in obj.get("decor", [])]
+    decor = [(sym, tuple(ins), tuple(outs))
+             for sym, ins, outs in obj.get("decor", [])]
     raw = json.loads(_read(args.bindings))
     if not wiring.all_fit([raw], {}):
         raise InvalidTensor("bindings %.80r are no {symbol: nested array}" % (raw,))

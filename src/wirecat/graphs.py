@@ -120,7 +120,7 @@ class DirectedGraph:
                 bad.append("LabelCollision: beta not injective on sign %+d" % sign)
 
         if self.loop_count < 0 or self.loop_count != int(self.loop_count):
-            bad.append("LoopCount: %r is not a nonnegative number of free loops"
+            bad.append("LoopCount: %r is not a nonnegative integer count of free loops"
                        % (self.loop_count,))
         return bad
 
