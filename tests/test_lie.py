@@ -171,6 +171,25 @@ def test_lie_dim_factorial_and_oracle():
             assert tree_quotient_dim(n) == want
 
 
+def test_nf_is_antisymmetric_at_the_root():
+    rng = random.Random(67)
+    for _ in range(80):
+        n = rng.randint(2, 6)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        l, r = rng.choice(all_trees(perm))
+        assert nf((l, r)) == {w: -c for w, c in nf((r, l)).items()}
+
+
+def test_lie_dim_is_the_rank_of_every_bracketing():
+    for n in range(1, 6):
+        elim = Eliminator()
+        for perm in itertools.permutations(range(1, n + 1)):
+            for t in all_trees(perm):
+                elim.add(nf(t))
+        assert lie_dim(n) == elim.rank, n
+
+
 def test_lie_dim_bound():
     with pytest.raises(BoundExceeded):
         lie_dim(7)
@@ -198,6 +217,47 @@ def test_trace_space_stable_under_instance_doubling():
         more = TraceSpace(n, extra_instances=40, rng=random.Random(63))
         assert base.dim == more.dim
         assert base.basis == more.basis
+
+
+def relabel(t, f):
+    if isinstance(t, int):
+        return f[t]
+    return (relabel(t[0], f), relabel(t[1], f))
+
+
+def full_closure(n):
+    """An eliminator over every relation row under all n! permutations of the
+    letters 1..n (the traced letter n+1 stays put), built from ``nf``."""
+    elim = Eliminator()
+    for n1 in range(0, n + 1):
+        m1 = n - n1
+        for p in basis_words(n1 + 1):
+            for q in basis_words(m1 + 1):
+                row = lie._relation_row(word_to_tree(p), word_to_tree(q), n1, m1)
+                for sigma in itertools.permutations(range(1, n + 1)):
+                    f = dict(zip(range(1, n + 2), sigma + (n + 1,)))
+                    out = {}
+                    for w, c in row.items():
+                        for w2, c2 in nf(relabel(word_to_tree(w), f)).items():
+                            out[w2] = out.get(w2, 0) + c * c2
+                    elim.add(out)
+    return elim
+
+
+def test_trace_space_matches_the_full_permutation_closure():
+    rng = random.Random(68)
+    for n in range(0, 6):
+        ts = TraceSpace(n)
+        ref = full_closure(n)
+        assert set(ts._elim.pivots) == set(ref.pivots), n
+        assert ts.basis == [w for w in ts.symbols if w not in ref.pivots]
+        inputs = [{w: Fraction(1)} for w in ts.symbols]
+        for _ in range(40):
+            words = rng.sample(ts.symbols, rng.randint(1, min(6, len(ts.symbols))))
+            inputs.append({w: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                           for w in words})
+        for v in inputs:
+            assert ts.reduce(v) == ref.reduce(v), (n, v)
 
 
 def test_trace_reduce_kills_permutation_relations():
