@@ -14,7 +14,7 @@ import random
 import sys
 
 from . import endo, graphs, lie, wiring, wprop
-from .errors import ArityMismatch, InvalidGraph, InvalidTensor, WirecatError
+from .errors import ArityMismatch, DimMismatch, InvalidGraph, InvalidTensor, WirecatError
 from .sampling import endo_sampler, free_sampler
 from .translate import graph_to_wd, wd_to_graph
 
@@ -163,8 +163,9 @@ def _load_bracket(path):
 
 
 def cmd_killing(args):
-    bracket, d0 = _load_bracket(args.bracket)
-    d = args.d if args.d is not None else d0
+    bracket, d = _load_bracket(args.bracket)
+    if args.d is not None and args.d != d:
+        raise DimMismatch("--d %d differs from the bracket's dimension %d" % (args.d, d))
     _write(endo.to_json(lie.killing_eval(bracket, args.n, d)))
     return 0
 
@@ -253,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--bracket", required=True,
                    help="nested (d,d,d) array of rationals")
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--d", type=int, default=None)
+    c.add_argument("--d", type=int, default=None,
+                   help="the bracket's dimension; checked against the file")
     c.set_defaults(fn=cmd_killing)
 
     c = sub.add_parser("semisimple", help="semisimplicity certificate checks")

@@ -30,6 +30,12 @@ DEFAULT_CAP_POWER = 12
 _to_fractions = np.frompyfunc(Fraction, 1, 1)
 
 
+def check_dim(dim):
+    """Raise ``DimMismatch`` unless ``dim`` is a positive integer."""
+    if not isinstance(dim, int) or dim < 1:
+        raise DimMismatch("dimension %r is not a positive integer" % (dim,))
+
+
 class Tensor:
     """A dense exact-rational tensor with named, canonically ordered axes.
 
@@ -51,8 +57,7 @@ class Tensor:
         return t
 
     def _set(self, dim, axes, data):
-        if not isinstance(dim, int) or dim < 1:
-            raise DimMismatch("dimension %r is not a positive integer" % (dim,))
+        check_dim(dim)
         axes = [tuple(a) for a in axes]
         if len(set(axes)) != len(axes):
             raise LabelClash("duplicate axis keys in %r" % (axes,))

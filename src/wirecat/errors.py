@@ -98,4 +98,5 @@ class NotMultilinear(WirecatError):
 
 
 class BoundExceeded(WirecatError):
-    """A dimension computation was requested beyond the configured bound."""
+    """A size or count (a letter count n, a number of trials) is outside the
+    range its computation allows."""

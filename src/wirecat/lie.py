@@ -10,6 +10,14 @@ with its last input.  The space of trace symbols in ``n`` letters is the
 span of ``t`` over the basis of the (n+1)-letter Lie space, modulo the cyclic
 relation t(p composed-at-last q) = beta t(q composed-at-last p) closed under
 letter permutations; the quotient basis is computed by exact elimination.
+The relation is bilinear in p and q, and every permutation is a shuffle of
+p's and q's letter blocks after permutations inside the blocks (Reutenauer,
+*Free Lie Algebras*, 1993), so the shuffles of each relation row for basis
+words p and q span the same space as all n! letter permutations of it.
+
+The multilinear Lie space is spanned by one bracketing per antisymmetry
+class, the one with each node's largest letter in its right factor:
+(2n-3)!! trees instead of the n! * Catalan(n-1) bracketings of all orders.
 
 Killing forms are the trace symbols of right-normed words, evaluated either
 through the decorated-graph engine or (as an oracle elsewhere) by traces of
@@ -18,6 +26,7 @@ products of adjoint matrices.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -210,15 +219,33 @@ def all_trees(letters: Sequence[int]):
     return out
 
 
+def _sorted_trees(letters: Tuple[int, ...]):
+    """One bracketing of the sorted ``letters`` per antisymmetry class: at
+    every node the largest letter is in the right factor.
+
+    Every bracketing of the letters in any order equals one of these up to
+    sign, as ``_nf((l, r)) == -_nf((r, l))`` holds exactly.
+    """
+    if len(letters) == 1:
+        yield letters[0]
+        return
+    *rest, top = letters
+    for k in range(1, len(rest) + 1):
+        for left in itertools.combinations(rest, k):
+            right = tuple(a for a in letters if a not in left)
+            for l in _sorted_trees(left):
+                for r in _sorted_trees(right):
+                    yield (l, r)
+
+
 def lie_dim(n: int, bound: Optional[int] = None) -> int:
     """Rank of the span of all multilinear bracketings after normalization."""
     limit = bound if bound is not None else DEFAULT_LIE_BOUND
     if not 1 <= n <= limit:
         raise BoundExceeded("n=%d outside 1..%d" % (n, limit))
     elim = Eliminator()
-    for perm in itertools.permutations(range(1, n + 1)):
-        for t in all_trees(perm):
-            elim.add(_nf(t))
+    for t in _sorted_trees(tuple(range(1, n + 1))):
+        elim.add(_nf(t))
     return elim.rank
 
 
@@ -290,10 +317,12 @@ class TraceSpace:
         self.dim = len(self.basis)
 
     @staticmethod
-    def _closed(row, n):
-        """All letter-permuted copies of a relation row."""
-        for sigma in itertools.permutations(range(1, n + 1)):
-            table = tuple(zip(range(1, n + 2), sigma + (n + 1,)))
+    def _closed(row, n, n1):
+        """The copies of a relation row under the shuffles of the letter
+        blocks 1..n1 and n1+1..n, the identity first; n+1 stays put."""
+        for first in itertools.combinations(range(1, n + 1), n1):
+            second = tuple(a for a in range(1, n + 1) if a not in first)
+            table = tuple(zip(range(1, n + 2), first + second + (n + 1,)))
             out: Dict[Word, int] = {}
             for w, c in row.items():
                 for w2, c2 in _perm_cache(w, table):
@@ -310,10 +339,9 @@ class TraceSpace:
                     row = _relation_row(word_to_tree(p), word_to_tree(q), n1, m1)
                     if not row:
                         continue
-                    yield from self._closed(row, n)
+                    yield from self._closed(row, n, n1)
 
     def _random_instances(self, n, count, rng):
-        import random
         rng = rng or random.Random(0)
         for _ in range(count):
             n1 = rng.randint(0, n)
@@ -322,7 +350,7 @@ class TraceSpace:
             q = rng.choice(all_trees(list(range(1, m1 + 2))))
             row = _relation_row(p, q, n1, m1)
             if row:
-                yield from self._closed(row, n)
+                yield from self._closed(row, n, n1)
 
     def reduce(self, coords: Dict[Word, Fraction]) -> Dict[Word, Fraction]:
         """Quotient-basis coordinates of a t-symbol combination."""
@@ -343,6 +371,8 @@ KAPPA_SIG = wprop.Signature({"br": (2, 1)})
 
 def kappa_element(n: int) -> wprop.FreeElement:
     """t([x1,[x2,...[xn,x_{n+1}]...]]) as a free wheeled-prop element."""
+    if n < 1:
+        raise BoundExceeded("n=%d: a Killing form needs n >= 1 letters" % n)
     cur = wprop.eta(KAPPA_SIG, "br", ("x%d" % n, "z"), ("y%d" % n,))
     for k in range(n - 1, 0, -1):
         nxt = wprop.eta(KAPPA_SIG, "br", ("x%d" % k, "t%d" % k), ("y%d" % k,))

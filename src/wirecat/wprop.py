@@ -25,6 +25,7 @@ from . import endo, graphs
 from .errors import (
     ArityMismatch,
     BoundaryMismatch,
+    BoundExceeded,
     InvalidGraph,
     InvalidTensor,
     LabelClash,
@@ -372,6 +373,7 @@ class EndoWheeledProp(WheeledProp):
     name = "endo"
 
     def __init__(self, d: int, cap_power: int = endo.DEFAULT_CAP_POWER):
+        endo.check_dim(d)
         self.d = d
         self.cap_power = cap_power
 
@@ -438,6 +440,8 @@ def axiom_suite(w: WheeledProp, sampler, trials: int = 50, rng=None) -> dict:
     ``sampler(rng)`` must return a random carrier element.  The report maps
     axiom names to {"ok": bool, "trials": n, "witness": description or None}.
     """
+    if trials < 1:
+        raise BoundExceeded("trials=%d: a suite of no trials checks nothing" % trials)
     rng = rng or random.Random(0)
     report = {}
 

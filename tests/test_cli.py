@@ -219,6 +219,35 @@ def test_axioms_deterministic_and_passing():
         assert report[name]["ok"]
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--impl", "endo", "--dim", "0", "--trials", "2"], "DimMismatch"),
+    (["--impl", "endo", "--dim", "-1"], "DimMismatch"),
+    (["--trials", "-1"], "BoundExceeded"),
+    (["--trials", "0"], "BoundExceeded"),
+])
+def test_axioms_input_names_its_error(argv, error, capsys):
+    assert cli.main(["axioms"] + argv) == 1
+    out, err = capsys.readouterr()
+    assert not out and json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("argv, error, names", [
+    (["--n", "2", "--d", "2"], "DimMismatch", ["2", "3"]),
+    (["--n", "2", "--d", "4"], "DimMismatch", ["4", "3"]),
+    (["--n", "0"], "BoundExceeded", ["n=0"]),
+    (["--n", "-1"], "BoundExceeded", ["n=-1"]),
+])
+def test_killing_input_names_its_error(argv, error, names, tmp_path, capsys):
+    (tmp_path / "sl2.json").write_text(json.dumps(lie.sl2_bracket(), default=str))
+    assert cli.main(["killing", "--bracket", str(tmp_path / "sl2.json")] + argv) == 1
+    out, err = capsys.readouterr()
+    msg = json.loads(err)
+    assert not out and msg["error"] == error
+    assert all(name in msg["message"] for name in names)
+    assert cli.main(["killing", "--bracket", str(tmp_path / "sl2.json"),
+                     "--n", "2", "--d", "3"]) == 0
+
+
 def test_eval_subcommand(tmp_path):
     el = lie.kappa_element(2)
     [(coeff, g, decor)] = list(el.terms.values())

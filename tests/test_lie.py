@@ -190,6 +190,27 @@ def test_lie_dim_is_the_rank_of_every_bracketing():
         assert lie_dim(n) == elim.rank, n
 
 
+def antisymmetry_class(t):
+    """The bracketing of t's class with each node's largest letter on the
+    right, and that largest letter."""
+    if isinstance(t, int):
+        return t, t
+    (l, ml), (r, mr) = antisymmetry_class(t[0]), antisymmetry_class(t[1])
+    return ((l, r), mr) if ml < mr else ((r, l), ml)
+
+
+def test_lie_dim_offers_one_bracketing_per_antisymmetry_class():
+    for n in range(1, 6):
+        offered = list(lie._sorted_trees(tuple(range(1, n + 1))))
+        classes = {antisymmetry_class(t)[0]
+                   for perm in itertools.permutations(range(1, n + 1))
+                   for t in all_trees(perm)}
+        assert len(offered) == len(set(offered)) == len(classes), n
+        assert set(offered) == classes, n
+    # (2n-3)!! bracketings for n = 6, against n! * Catalan(5) = 30240.
+    assert sum(1 for _ in lie._sorted_trees(tuple(range(1, 7)))) == 945
+
+
 def test_lie_dim_bound():
     with pytest.raises(BoundExceeded):
         lie_dim(7)
@@ -204,6 +225,7 @@ def test_trace_space_small_dims():
     assert TraceSpace(1).dim == 1
     assert TraceSpace(2).dim == 1
     assert TraceSpace(3).dim == 2
+    assert TraceSpace(6).dim == 120
 
 
 def test_trace_space_bound():
@@ -212,7 +234,7 @@ def test_trace_space_bound():
 
 
 def test_trace_space_stable_under_instance_doubling():
-    for n in range(0, 4):
+    for n in range(0, 6):
         base = TraceSpace(n)
         more = TraceSpace(n, extra_instances=40, rng=random.Random(63))
         assert base.dim == more.dim
@@ -225,6 +247,18 @@ def relabel(t, f):
     return (relabel(t[0], f), relabel(t[1], f))
 
 
+def permuted(row, sigma):
+    """The copy of a relation row under sigma on the letters 1..n, built from
+    ``nf``; the traced letter n+1 stays put."""
+    n = len(sigma)
+    f = dict(zip(range(1, n + 2), sigma + (n + 1,)))
+    out = {}
+    for w, c in row.items():
+        for w2, c2 in nf(relabel(word_to_tree(w), f)).items():
+            out[w2] = out.get(w2, 0) + c * c2
+    return {w: c for w, c in out.items() if c}
+
+
 def full_closure(n):
     """An eliminator over every relation row under all n! permutations of the
     letters 1..n (the traced letter n+1 stays put), built from ``nf``."""
@@ -235,12 +269,7 @@ def full_closure(n):
             for q in basis_words(m1 + 1):
                 row = lie._relation_row(word_to_tree(p), word_to_tree(q), n1, m1)
                 for sigma in itertools.permutations(range(1, n + 1)):
-                    f = dict(zip(range(1, n + 2), sigma + (n + 1,)))
-                    out = {}
-                    for w, c in row.items():
-                        for w2, c2 in nf(relabel(word_to_tree(w), f)).items():
-                            out[w2] = out.get(w2, 0) + c * c2
-                    elim.add(out)
+                    elim.add(permuted(row, sigma))
     return elim
 
 
@@ -258,6 +287,24 @@ def test_trace_space_matches_the_full_permutation_closure():
                            for w in words})
         for v in inputs:
             assert ts.reduce(v) == ref.reduce(v), (n, v)
+
+
+def test_relation_rows_are_closed_under_the_block_shuffles():
+    # The closure offers a row's copy under each permutation that keeps the
+    # order inside 1..n1 and inside n1+1..n, identity first; the span of all
+    # n! copies is pinned by the full-closure test above.
+    for n in range(0, 6):
+        for n1 in range(0, n + 1):
+            m1 = n - n1
+            p, q = basis_words(n1 + 1)[-1], basis_words(m1 + 1)[-1]
+            row = lie._relation_row(word_to_tree(p), word_to_tree(q), n1, m1)
+            want = [permuted(row, sigma)
+                    for sigma in itertools.permutations(range(1, n + 1))
+                    if list(sigma[:n1]) == sorted(sigma[:n1])
+                    and list(sigma[n1:]) == sorted(sigma[n1:])]
+            want = [r for r in want if r]
+            assert len(want) == math.comb(n, n1) or not row, (n, n1)
+            assert list(TraceSpace._closed(row, n, n1)) == want, (n, n1)
 
 
 def test_trace_reduce_kills_permutation_relations():
@@ -406,7 +453,7 @@ def stirling1(n, k):
 def test_wheeled_dim_counts_permutations_by_cycles():
     # Word and trace blocks of size k both contribute (k-1)!, so the total
     # counts permutations of n+1 points with m+1 cycles, word blocks ordered.
-    for n in range(0, 6):
+    for n in range(0, 7):
         for m in range(0, n + 1):
             want = math.factorial(m) * stirling1(n + 1, m + 1)
             assert wheeled_dim(n, m) == want, (n, m)
