@@ -426,6 +426,47 @@ def test_evaluation_command_goldens(cmd, tmp_path, capsys):
     assert digest.hexdigest() == EVAL_GOLDENS[cmd]
 
 
+# sha256 of the exit status and standard output of the commands whose numbers
+# come from the tensor prop's arithmetic: `axioms --impl endo` at d = 1, 2, 3,
+# `semisimple` on the sl2 and solvable brackets, and `killing` on sl2 for
+# n = 5..8.  A change in how tensors store or combine their entries shows here.
+TENSOR_GOLDENS = {
+    "axioms": "0011d3e00646f51a30bef1cffa5a15a4f7fe63b90733f674f28a8c16a3f8591a",
+    "semisimple": "be16ad885685dc0320b87f8a3d27702ffecbab5ca8d89277e57b9a08173aa500",
+    "killing": "41be2ff65557b369f3abb122029ba4caee5666f191be822ba2340e7af52f620f",
+}
+
+
+def tensor_calls(cmd, put):
+    """The calls of ``cmd`` pinned in ``TENSOR_GOLDENS``; ``put`` writes a
+    bracket to a file and returns its path."""
+    if cmd == "axioms":
+        return [["axioms", "--impl", "endo", "--dim", str(d), "--trials", "12",
+                 "--seed", str(d)] for d in (1, 2, 3)]
+    sl2 = put(lie.sl2_bracket())
+    if cmd == "semisimple":
+        return [["semisimple", "--bracket", b]
+                for b in (sl2, put(lie.solvable2_bracket()))]
+    return [["killing", "--bracket", sl2, "--n", str(n)] for n in range(5, 9)]
+
+
+@pytest.mark.parametrize("cmd", list(TENSOR_GOLDENS))
+def test_tensor_command_goldens(cmd, tmp_path, capsys):
+    paths = itertools.count()
+
+    def put(bracket):
+        path = tmp_path / ("%d.json" % next(paths))
+        path.write_text(json.dumps([[[str(x) for x in row] for row in plane]
+                                    for plane in bracket]))
+        return str(path)
+
+    digest = hashlib.sha256()
+    for argv in tensor_calls(cmd, put):
+        rc = cli.main(argv)
+        digest.update(b"%d\n" % rc + capsys.readouterr().out.encode())
+    assert digest.hexdigest() == TENSOR_GOLDENS[cmd]
+
+
 def test_parser_reused_across_calls(capsys):
     assert cli.main(["lie-dim", "3"]) == 0
     with pytest.raises(SystemExit) as exc:
