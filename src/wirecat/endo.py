@@ -1,6 +1,7 @@
 """The endomorphism wheeled prop of the standard d-dimensional space.
 
-Elements are dense tensors of exact rationals.  Every axis is keyed by a
+Elements are dense tensors of exact rationals, held as Python ``int``
+numerators over one common denominator.  Every axis is keyed by a
 (polarity, label) pair: ``in``-axes are dual copies, ``out``-axes direct
 copies.  Horizontal composition is the outer product, contraction is the
 trace pairing an in-axis against an out-axis, and a free loop contributes a
@@ -9,6 +10,7 @@ scalar factor d (the trace of the identity).
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +29,7 @@ from .wiring import IN, OUT, all_fit
 DEFAULT_CAP_POWER = 12
 
 
-_to_fractions = np.frompyfunc(Fraction, 1, 1)
+_fractions = np.frompyfunc(Fraction, 2, 1)
 
 
 def check_dim(dim):
@@ -39,35 +41,51 @@ def check_dim(dim):
 class Tensor:
     """A dense exact-rational tensor with named, canonically ordered axes.
 
-    ``axes`` names the axes of ``data`` in order; on construction the axes
-    are sorted and the data transposed to match, so equal tensors have equal
-    representations.
+    Entry k is ``num[k] / den``: ``num`` is an object array of Python ``int``s
+    and ``den`` one positive ``int``, in lowest terms (their gcd is 1, and a
+    zero tensor has ``den`` 1).  ``axes`` names the axes of ``num`` in order;
+    on construction the axes are sorted and the numerators transposed to
+    match, so equal tensors have equal representations.
     """
 
-    __slots__ = ("dim", "axes", "data")
+    __slots__ = ("dim", "axes", "num", "den")
 
     def __init__(self, dim: int, axes, data):
-        self._set(dim, axes, _to_fractions(np.asarray(data, dtype=object)))
+        entries = [x if type(x) in (int, Fraction) else rational(x)
+                   for x in np.asarray(data, dtype=object).flat]
+        den = math.lcm(*[x.denominator for x in entries])
+        self._set(dim, axes, [x.numerator * (den // x.denominator)
+                              for x in entries], den)
 
     @classmethod
-    def _exact(cls, dim: int, axes, data) -> "Tensor":
-        """``Tensor(...)`` without coercion, for data already all ``Fraction``s."""
+    def _exact(cls, dim: int, axes, num, den: int) -> "Tensor":
+        """``Tensor(...)`` from ``int`` numerators over a positive ``den``."""
         t = cls.__new__(cls)
-        t._set(dim, axes, data)
+        t._set(dim, axes, num, den)
         return t
 
-    def _set(self, dim, axes, data):
+    def _set(self, dim, axes, num, den):
         check_dim(dim)
         axes = [tuple(a) for a in axes]
         if len(set(axes)) != len(axes):
             raise LabelClash("duplicate axis keys in %r" % (axes,))
-        arr = np.asarray(data, dtype=object)
+        arr = np.asarray(num, dtype=object)
         if arr.size != dim ** len(axes):
             raise ArityMismatch("%d entries for %d axes of dim %d" % (arr.size, len(axes), dim))
+        common = math.gcd(den, *arr.flat)
+        if common != 1:
+            arr, den = np.asarray(arr // common, dtype=object), den // common
         order = sorted(range(len(axes)), key=lambda k: repr(axes[k]))
-        self.dim, self.axes = dim, tuple(axes[k] for k in order)
-        self.data = arr.reshape((dim,) * len(axes)).transpose(order)
-        self.data.flags.writeable = False
+        self.dim, self.axes, self.den = dim, tuple(axes[k] for k in order), den
+        self.num = arr.reshape((dim,) * len(axes)).transpose(order)
+        self.num.flags.writeable = False
+
+    @property
+    def data(self):
+        """The entries, as a read-only array of ``Fraction``s."""
+        out = np.asarray(_fractions(self.num, self.den), dtype=object)
+        out.flags.writeable = False
+        return out
 
     # -- helpers --
 
@@ -84,37 +102,41 @@ class Tensor:
 
     def __eq__(self, other):
         return (isinstance(other, Tensor) and self.dim == other.dim
-                and self.axes == other.axes
-                and bool(np.all(self.data == other.data)))
+                and self.axes == other.axes and self.den == other.den
+                and bool(np.all(self.num == other.num)))
 
     def __hash__(self):
-        return hash((self.dim, self.axes, tuple(self.data.reshape(-1))))
+        return hash((self.dim, self.axes, self.den, tuple(self.num.flat)))
 
     def __repr__(self):
         return "Tensor(dim=%d, axes=%r)" % (self.dim, list(self.axes))
 
     def scale(self, c) -> "Tensor":
-        return Tensor._exact(self.dim, self.axes, self.data * Fraction(c))
+        c = rational(c)
+        return Tensor._exact(self.dim, self.axes, self.num * c.numerator,
+                             self.den * c.denominator)
 
     def __add__(self, other: "Tensor") -> "Tensor":
         if self.dim != other.dim or self.axes != other.axes:
             raise DimMismatch("adding tensors with different axes")
-        return Tensor._exact(self.dim, self.axes, self.data + other.data)
+        den = math.lcm(self.den, other.den)
+        return Tensor._exact(self.dim, self.axes, self.num * (den // self.den)
+                             + other.num * (den // other.den), den)
 
     def rename_axes(self, mapping) -> "Tensor":
         """Rename axis keys by a partial map (pol, label) -> (pol, label)."""
         mapping = {tuple(k): tuple(v) for k, v in dict(mapping).items()}
         new_axes = [mapping.get(a, a) for a in self.axes]
-        return Tensor._exact(self.dim, new_axes, self.data)
+        return Tensor._exact(self.dim, new_axes, self.num, self.den)
 
 
 def scalar_tensor(d: int, value=1) -> Tensor:
-    return Tensor(d, [], [Fraction(value)])
+    value = rational(value)
+    return Tensor._exact(d, [], [value.numerator], value.denominator)
 
 
 def identity_tensor(label: str, d: int) -> Tensor:
-    return Tensor(d, [(IN, label), (OUT, label)],
-                  [[int(p == q) for q in range(d)] for p in range(d)])
+    return Tensor._exact(d, [(IN, label), (OUT, label)], np.eye(d, dtype=object), 1)
 
 
 def tensor_product(s: Tensor, t: Tensor, cap_power: int = DEFAULT_CAP_POWER) -> Tensor:
@@ -126,17 +148,17 @@ def tensor_product(s: Tensor, t: Tensor, cap_power: int = DEFAULT_CAP_POWER) -> 
     if len(s.axes) + len(t.axes) > cap_power:
         raise SizeCapExceeded("%d axes exceeds cap of %d"
                               % (len(s.axes) + len(t.axes), cap_power))
-    data = np.multiply.outer(s.data, t.data)
-    return Tensor._exact(s.dim, list(s.axes) + list(t.axes), data)
+    num = np.multiply.outer(s.num, t.num)
+    return Tensor._exact(s.dim, list(s.axes) + list(t.axes), num, s.den * t.den)
 
 
 def trace_contract(t: Tensor, i: str, j: str) -> Tensor:
     """Contract the in-axis labelled ``i`` against the out-axis labelled ``j``."""
     a1 = t.axis_pos((IN, i))
     a2 = t.axis_pos((OUT, j))
-    data = t.data.diagonal(axis1=a1, axis2=a2).sum(axis=-1)
+    num = t.num.diagonal(axis1=a1, axis2=a2).sum(axis=-1)
     axes = [a for k, a in enumerate(t.axes) if k not in (a1, a2)]
-    return Tensor._exact(t.dim, axes, data)
+    return Tensor._exact(t.dim, axes, num, t.den)
 
 
 # -- graph evaluation --------------------------------------------------------
@@ -152,24 +174,27 @@ def evaluate_graph(g: DirectedGraph, vertex_tensors, d: int,
 
     In graph order, each vertex traces out its edges to itself and is then
     contracted (``np.tensordot``) into the running product over its edges to
-    earlier vertices; free edges come last.  ``cap_power`` caps each intermediate.
+    earlier vertices; free edges come last.  The contraction runs on the
+    numerators; the vertex denominators are multiplied once, at the end.
+    ``cap_power`` caps each intermediate.
     """
     if len(vertex_tensors) != g.r:
         raise ArityMismatch("%d tensors for %d vertices" % (len(vertex_tensors), g.r))
     pol = {1: IN, -1: OUT}
-    pieces = []  # (data, the flags naming its axes)
+    pieces, den = [], 1  # pieces: (numerators, the flags naming their axes)
     for k, t in enumerate(vertex_tensors):
         if t.dim != d:
             raise DimMismatch("vertex %d has dim %d, expected %d" % (k + 1, t.dim, d))
         flag_of = {(pol[g.delta[f]], g.lam[f]): f for f in g.vertices[k]}
         if set(t.axes) != set(flag_of):
             raise ArityMismatch("vertex %d axes %r != %r" % (k + 1, t.axes, set(flag_of)))
-        pieces.append((t.data, [flag_of[a] for a in t.axes]))
-    pieces += [(identity_tensor("?", d).data, [f, m])
+        pieces.append((t.num, [flag_of[a] for a in t.axes]))
+        den *= t.den
+    pieces += [(np.eye(d, dtype=object), [f, m])
                for f, m in g.pi.items() if g.delta[f] == 1]
 
     # The free loops' factor seeds the running product.
-    data, flags = np.full((), Fraction(d) ** g.loop_count, dtype=object), []
+    num, flags = np.full((), d ** g.loop_count, dtype=object), []
     for v, vflags in pieces:
         for f in [f for f in vflags if g.delta[f] == 1]:
             m = g.iota.get(f, f)
@@ -181,11 +206,11 @@ def evaluate_graph(g: DirectedGraph, vertex_tensors, d: int,
         axes = len(flags) + len(vflags) - 2 * len(shared)
         if axes > cap_power:
             raise SizeCapExceeded("%d axes exceeds cap of %d" % (axes, cap_power))
-        data = np.tensordot(data, v, axes=([flags.index(m) for m in mates],
-                                           [vflags.index(f) for f in shared]))
+        num = np.tensordot(num, v, axes=([flags.index(m) for m in mates],
+                                         [vflags.index(f) for f in shared]))
         flags = ([f for f in flags if f not in mates]
                  + [f for f in vflags if f not in shared])
-    return Tensor._exact(d, [(pol[g.delta[f]], g.beta[f]) for f in flags], data)
+    return Tensor._exact(d, [(pol[g.delta[f]], g.beta[f]) for f in flags], num, den)
 
 
 def evaluate_decorated(g: DirectedGraph, decor, bind, d: int) -> Tensor:
@@ -216,18 +241,20 @@ _TENSOR = {"axes": [[{IN, OUT}, (str, int)]], "data": [None]}
 def from_obj(obj) -> Tensor:
     if not (all_fit([obj], _TENSOR) and {"dim", "axes", "data"} <= set(obj)):
         raise InvalidTensor("%.80r is no {dim, axes: [[in|out, label]], data}" % (obj,))
-    return Tensor(obj["dim"], [tuple(a) for a in obj["axes"]],
-                  [rational(x) for x in obj["data"]])
+    return Tensor(obj["dim"], obj["axes"], obj["data"])
 
 
 def rational(x) -> Fraction:
-    """An integer or rational string from JSON; never a float, as 0.1 is not 1/10."""
+    """An integer, ``Fraction`` or rational string as a ``Fraction``; never a
+    float, as 0.1 is not 1/10, nor a boolean."""
     if isinstance(x, (bool, float)):
         raise InvalidTensor("%r is inexact: give an integer or a string like '1/10'" % (x,))
     try:
-        return Fraction(x)
+        q = Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidTensor("%r is not a rational: %s" % (x, exc))
+    # A numpy integer keeps its fixed width inside a Fraction, and would wrap.
+    return Fraction(int(q.numerator), int(q.denominator))
 
 
 def to_json(t: Tensor) -> str:

@@ -75,7 +75,8 @@ class NotABijection(WirecatError):
 
 class InvalidTensor(WirecatError):
     """A tensor's JSON form is not an object with dim, [polarity, label] axes
-    and a list of rational entries."""
+    and a list of rational entries, or a tensor entry or scale factor is no
+    exact rational (a float or a boolean, say)."""
 
 
 class UnknownAxis(WirecatError):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,13 @@ from wirecat.endo import (
     tensor_product,
     trace_contract,
 )
-from wirecat.errors import DimMismatch, LabelClash, SizeCapExceeded, UnknownAxis
+from wirecat.errors import (
+    DimMismatch,
+    InvalidTensor,
+    LabelClash,
+    SizeCapExceeded,
+    UnknownAxis,
+)
 from wirecat.graphs import DirectedGraph
 from wirecat.sampling import random_fraction, random_graph, random_tensor
 from wirecat.wiring import IN, OUT
@@ -173,23 +180,44 @@ def test_evaluate_free_edge_and_loops():
     assert endo.evaluate_graph(free_loop(3), [], d).scalar_value() == d ** 3
 
 
+PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
+
+
+def prime_tensor(rng, d, in_labels, out_labels):
+    """A random tensor whose entries have denominators among the primes up
+    to 97, so that its own denominator is a large product of coprimes."""
+    axes = [(IN, l) for l in in_labels] + [(OUT, l) for l in out_labels]
+    return Tensor(d, axes, [Fraction(rng.randint(-97, 97), rng.choice(PRIMES))
+                            for _ in range(d ** len(axes))])
+
+
+def check_against_state_sum(rng, d, count, sample):
+    """Compare ``evaluate_graph`` with ``state_sum`` on ``count`` random graphs
+    whose vertices carry tensors drawn by ``sample``."""
+    checked = 0
+    while checked < count:
+        g = random_graph(rng)
+        edge = edge_of(g)
+        # At most 10 flags keeps evaluate_graph's outer products under
+        # 3^10 entries; at most 8 edges keeps the state sum under 3^8 terms.
+        if len(edge) > 10 or len(set(edge.values())) > 8:
+            continue
+        tensors = [sample(rng, d, sorted(ins), sorted(outs))
+                   for ins, outs in (g.neighbourhood(k + 1)
+                                     for k in range(g.r))]
+        assert endo.evaluate_graph(g, tensors, d) == state_sum(g, tensors, d)
+        checked += 1
+
+
 def test_evaluate_graph_matches_state_sum():
     rng = random.Random(45)
     for d in (1, 2, 3):
-        checked = 0
-        while checked < 100:
-            g = random_graph(rng)
-            edge = edge_of(g)
-            # At most 10 flags keeps evaluate_graph's outer products under
-            # 3^10 entries; at most 8 edges keeps the state sum under 3^8 terms.
-            if len(edge) > 10 or len(set(edge.values())) > 8:
-                continue
-            tensors = [random_tensor(rng, d, sorted(ins), sorted(outs))
-                       for ins, outs in (g.neighbourhood(k + 1)
-                                         for k in range(g.r))]
-            assert endo.evaluate_graph(g, tensors, d) == \
-                state_sum(g, tensors, d)
-            checked += 1
+        check_against_state_sum(rng, d, 100, random_tensor)
+    # Every vertex brings its own denominator, so one dropped or counted
+    # twice changes the value.
+    rng = random.Random(49)
+    for d in (1, 2, 3):
+        check_against_state_sum(rng, d, 25, prime_tensor)
 
 
 def ring_graph(k):
@@ -221,29 +249,90 @@ def test_ring_evaluates_at_its_planned_peak():
             endo.evaluate_graph(g, tensors, d, cap_power=k)
 
 
-def test_results_hold_only_fractions():
+def operation_results():
+    """A result of every tensor operation, on entries that cancel."""
     from wirecat.graphs import free_edge, free_loop
     rng = random.Random(48)
     d = 2
     s = random_tensor(rng, d, ["a"], ["b"])
     t = random_tensor(rng, d, ["c"], ["e"])
+    halves = Tensor(d, [(IN, "h")], [Fraction(1, 2), Fraction(3, 2)])
+    evens = Tensor(d, [(OUT, "k")], [2, -4])
     ring = ring_graph(3)
-    results = [
+    return [
+        s,
+        endo.from_json(endo.to_json(s)),
+        identity_tensor("a", d),
+        scalar_tensor(d, Fraction(6, 4)),
         tensor_product(s, t),
+        tensor_product(halves, evens),
         trace_contract(s, "a", "b"),
+        trace_contract(identity_tensor("a", d).scale(Fraction(1, 2)), "a", "a"),
         s.scale(3),
         s.scale(0),
+        s.scale(Fraction(2, 3)),
+        s.scale(np.int64(3)),
+        Tensor(d, [(IN, "n")], [np.int64(2), np.int64(4)]),
         s + s,
+        halves + halves,
+        s + s.scale(-1),
         s.rename_axes({(IN, "a"): (IN, "z")}),
         endo.evaluate_graph(ring, [random_tensor(rng, d, ["c", "x"], ["y"])
                                    for _ in range(3)], d),
         endo.evaluate_graph(chain_graph(), [mat_to_tensor([[1, 2], [3, 4]], d, "a", "m"),
                                             mat_to_tensor([[0, 1], [1, 0]], d, "m", "b")], d),
+        endo.evaluate_graph(chain_graph(), [
+            mat_to_tensor([[Fraction(1, 2), 0], [0, Fraction(3, 2)]], d, "a", "m"),
+            mat_to_tensor([[2, 0], [0, 2]], d, "m", "b")], d),
         endo.evaluate_graph(free_edge("p", "q"), [], d),
         endo.evaluate_graph(free_loop(2), [], d),
     ]
-    for r in results:
+
+
+def test_results_hold_only_fractions():
+    for r in operation_results():
         assert all(type(x) is Fraction for x in r.data.reshape(-1)), r
+
+
+def test_results_are_in_lowest_terms():
+    for r in operation_results():
+        assert all(type(n) is int for n in r.num.flat), r
+        assert type(r.den) is int and r.den > 0, r
+        assert math.gcd(r.den, *r.num.flat) == 1, r
+
+
+def test_equal_tensors_have_one_representation():
+    rng = random.Random(50)
+    t = random_tensor(rng, 2, ["a"], ["b", "c"])
+    zero = Tensor(2, t.axes, [0] * 8)
+    half = Tensor(2, [(IN, "a")], [Fraction(1, 2), Fraction(3, 2)])
+    cases = [
+        (t.scale(Fraction(1, 3)).scale(3), t),
+        (half + half, Tensor(2, [(IN, "a")], [1, 3])),
+        (scalar_tensor(2, Fraction(1, 2)) + scalar_tensor(2, Fraction(1, 2)),
+         scalar_tensor(2)),
+        (t.scale(0), zero),
+        (t + t.scale(-1), zero),
+        (zero.scale(Fraction(1, 7)), zero),
+    ]
+    for got, want in cases:
+        assert got == want and hash(got) == hash(want)
+        assert endo.to_json(got) == endo.to_json(want)
+        assert (got.num.tolist(), got.den) == (want.num.tolist(), want.den)
+    assert zero.den == 1 and (t + t.scale(-1)).den == 1
+
+
+@pytest.mark.parametrize("entry", [0.1, 1.0, True, np.float64(0.5), np.True_,
+                                   "1/0", None])
+def test_library_input_must_be_exact(entry):
+    for make in (lambda: Tensor(2, [], [entry]),
+                 lambda: Tensor(2, [(IN, "a")], [[1], [entry]]),
+                 lambda: Tensor(2, [(IN, "a")], [Fraction(1, 3), entry]),
+                 lambda: identity_tensor("a", 2).scale(entry),
+                 lambda: scalar_tensor(2, entry)):
+        with pytest.raises(InvalidTensor):
+            make()
+    assert Tensor(2, [], ["1/10"]) == scalar_tensor(2, Fraction(1, 10))
 
 
 def test_state_sum_of_a_chain_is_composition():
