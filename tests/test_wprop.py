@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from wirecat.errors import (
     NotABijection,
     WirecatError,
 )
-from wirecat.graphs import corolla, substitute_all
+from wirecat.graphs import corolla, reorder, substitute_all
 from wirecat.sampling import (
     endo_sampler,
     free_sampler,
@@ -286,3 +287,89 @@ def test_json_roundtrip():
 def test_signature_roundtrip():
     obj = wprop.signature_to_obj(SIG)
     assert wprop.signature_from_obj(obj).arities == SIG.arities
+
+
+# sha256 over ``wprop.to_json`` of forty seeded results of each operation
+# below, on multi-term elements of the free sampler.  When terms merge, the
+# printed graph is the one of the first term that reached the key, so these
+# pin the representative graphs as well as the values.
+ELEMENT_GOLDENS = {
+    "sum": "c0dab782b66f3acfbf7d4b3674dd22a0bb7cfd9b269c1b4cefc8af2ec30509f0",
+    "scale": "025bd19bbacc32e49c24c9c0f732fb9ebc791d6fa48d3d29511ca1d711fff6ce",
+    "cancel": "05aefc185e263b585ecb29da7ca9c9ed472b519170088ae990b6e915b79a8564",
+    "horizontal": "c2c3ad5b49d137cfa6f8daab6999ce9756b6e31c543adc6518785fb3655f9961",
+    "contract": "1764c3d48c7e6fb115f71285ef1ed25c0664b9478dc9bfa0f77ee78000936f73",
+    "dioperadic": "785c264bf7bbed9db082c3c6906bef387c333f51b3398d08c2457ec4d0b866df",
+    "relabel": "69759d4a7874f8dbc3ba13669d55d105f75ec3c7e8895ca6d431c21cbb942349",
+    "flatten": "1ac64ca43844520b931afd7c42e524db38f3368ba7726fcc189e1b741be44ec1",
+}
+
+
+def fresh_copy(rng, sample, taken):
+    """A sample relabelled onto labels outside ``taken``."""
+    x = sample(rng)
+    ins, outs = sorted(x.in_labels), sorted(x.out_labels)
+    fresh = wprop._fresh_labels(len(ins) + len(outs), taken, "w")
+    return relabel(x, dict(zip(ins, fresh)), dict(zip(outs, fresh[len(ins):])))
+
+
+def partner(rng, sample, a):
+    """A sample relabelled onto the boundary of ``a``, or ``a`` scaled."""
+    for _ in range(20):
+        b = sample(rng)
+        if (len(b.in_labels), len(b.out_labels)) == (len(a.in_labels), len(a.out_labels)):
+            return relabel(b, dict(zip(sorted(b.in_labels), sorted(a.in_labels))),
+                           dict(zip(sorted(b.out_labels), sorted(a.out_labels))))
+    return a.scale(3)
+
+
+def reordered(rng, a):
+    """``a`` with the vertices of each term in random order: equal to ``a``,
+    with other representative graphs."""
+    terms = []
+    for c, g, decor in a.terms.values():
+        order = list(range(1, g.r + 1))
+        rng.shuffle(order)
+        terms.append((c, reorder(g, order), [decor[i - 1] for i in order]))
+    return FreeElement(a.in_labels, a.out_labels, terms)
+
+
+def element_results(op, rng):
+    sample = free_sampler(SIG, max_terms=3)
+    a = sample(rng)
+    ins, outs = sorted(a.in_labels), sorted(a.out_labels)
+    if op == "sum":
+        b, r = partner(rng, sample, a), reordered(rng, a)
+        return [a + b, b + a + b.scale(-1), r + b + a, a.scale(2) + r.scale(-1)]
+    if op == "scale":
+        return [a.scale(random_fraction(rng) or 1), a.scale(0)]
+    if op == "cancel":
+        b, r = partner(rng, sample, a), reordered(rng, a)
+        return [a - a.scale(2) + a, (a + b) - a.scale(2) + a,
+                (r + b) - a.scale(2) + a + r, b + r - r + a]
+    if op == "horizontal":
+        c = fresh_copy(rng, sample, ins + outs)
+        return [horizontal(a, c), horizontal(c, a)]
+    if op == "contract":
+        return [contract(a, rng.choice(ins), rng.choice(outs))] if ins and outs else []
+    if op == "dioperadic":
+        c = fresh_copy(rng, sample, ins + outs)
+        if not ins or not c.out_labels:
+            return []
+        return [dioperadic(a, rng.choice(ins), c, rng.choice(sorted(c.out_labels)))]
+    if op == "relabel":
+        fresh = wprop._fresh_labels(len(ins) + len(outs), ins + outs, "w")
+        rng.shuffle(fresh)
+        return [relabel(a, dict(zip(ins, fresh)), dict(zip(outs, fresh[len(ins):])))]
+    g, mids, inners = sample_two_level(rng)
+    return [flatten(corolla(ins, outs), [a]),
+            flatten(g, [flatten(mids[v], inners[v]) for v in range(1, g.r + 1)])]
+
+
+@pytest.mark.parametrize("op", list(ELEMENT_GOLDENS))
+def test_element_operation_goldens(op):
+    digest = hashlib.sha256()
+    for seed in range(40):
+        for x in element_results(op, random.Random(seed)):
+            digest.update(wprop.to_json(x).encode() + b"\n")
+    assert digest.hexdigest() == ELEMENT_GOLDENS[op]
