@@ -33,6 +33,11 @@ class DirectedGraph:
     ``vertices`` is an ordered tuple of disjoint flag sets; ``exceptional``
     holds the free-edge flags (all fixed by ``iota``, paired by ``pi``).
     Free loops appear only in ``loop_count``.
+
+    ``DirectedGraph(...)`` validates, as do the builders and loaders on it.
+    Surgery on valid graphs (``reorder``, ``substitute``, ``wd_to_graph``, the
+    free prop's union, gluing and relabelling) is valid by construction and
+    builds through ``_trusted``, which skips ``validate``.
     """
 
     __slots__ = ("vertices", "exceptional", "iota", "pi", "delta", "lam",
@@ -41,6 +46,19 @@ class DirectedGraph:
     def __init__(self, vertices: Iterable[Iterable], exceptional: Iterable = (),
                  iota: Mapping = (), pi: Mapping = (), delta: Mapping = (),
                  lam: Mapping = (), beta: Mapping = (), loop_count: int = 0):
+        self._fill(vertices, exceptional, iota, pi, delta, lam, beta, loop_count)
+        violations = self.validate()
+        if violations:
+            raise InvalidGraph(violations)
+
+    @classmethod
+    def _trusted(cls, *parts) -> "DirectedGraph":
+        """``DirectedGraph(*parts)`` without ``validate``, for valid parts."""
+        g = cls.__new__(cls)
+        g._fill(*parts)
+        return g
+
+    def _fill(self, vertices, exceptional, iota, pi, delta, lam, beta, loop_count):
         self.vertices = tuple(frozenset(v) for v in vertices)
         self.exceptional = frozenset(exceptional)
         self.iota = dict(iota)
@@ -49,13 +67,7 @@ class DirectedGraph:
         self.lam = dict(lam)
         self.beta = dict(beta)
         self.loop_count = loop_count
-        violations = self.validate()
-        if violations:
-            raise InvalidGraph(violations)
-        self._vertex_of = {}
-        for idx, v in enumerate(self.vertices):
-            for f in v:
-                self._vertex_of[f] = idx
+        self._vertex_of = {f: idx for idx, v in enumerate(self.vertices) for f in v}
 
     # -- validation ----------------------------------------------------------
 
@@ -191,9 +203,10 @@ def _dense(values):
     return [rank[x] for x in values]
 
 
-def _labelling(g: DirectedGraph, colours: Sequence[int]) -> List[int]:
-    """A canonical vertex order (0-based) of ``g`` with initial vertex colours
-    ``colours``, by individualisation and refinement (McKay & Piperno,
+def _labelling(records, colours: Sequence[int]) -> List[int]:
+    """A canonical vertex order (0-based) of ``g``, given as its vertex records
+    ``_key(g, range(g.r))[0]``, with initial vertex colours ``colours``,
+    by individualisation and refinement (McKay & Piperno,
     "Practical graph isomorphism II", 2014): refinement splits colour classes
     by the colours at the far ends of each vertex's edges until nothing
     splits, and the search individualises in turn each vertex of the tied cell
@@ -201,8 +214,7 @@ def _labelling(g: DirectedGraph, colours: Sequence[int]) -> List[int]:
     certificate) wins.  Tied leaves reveal automorphisms; those that fix the
     path to a node prune its children.
     """
-    vertices = range(g.r)
-    records = _key(g, vertices)[0]  # the mates' vertices stand in for positions
+    vertices = range(len(records))
     local = _dense([repr((colours[v], [r[:4] for r in records[v]])) for v in vertices])
     mates = [[r[4] for r in records[v] if r[2] == "e"] for v in vertices]
     best, autos = [], []
@@ -280,8 +292,8 @@ def reorder(g: DirectedGraph, order: Sequence[int]) -> DirectedGraph:
     if sorted(order) != list(range(1, g.r + 1)):
         raise UnknownVertex("not a permutation of 1..%d: %r" % (g.r, order))
     vertices = tuple(g.vertices[i - 1] for i in order)
-    return DirectedGraph(vertices, g.exceptional, g.iota, g.pi, g.delta,
-                         g.lam, g.beta, g.loop_count)
+    return DirectedGraph._trusted(vertices, g.exceptional, g.iota, g.pi, g.delta,
+                                  g.lam, g.beta, g.loop_count)
 
 
 def loose_canonical_form(g: DirectedGraph, decorations: Optional[Sequence] = None,
@@ -292,8 +304,13 @@ def loose_canonical_form(g: DirectedGraph, decorations: Optional[Sequence] = Non
     must travel with it.  ``with_order`` also returns the order of the
     vertices in the key, as ``reorder`` takes it."""
     decorations = [None] * g.r if decorations is None else list(decorations)
-    order = _labelling(g, _dense([repr(d) for d in decorations]))
-    key = (_key(g, order), tuple(decorations[v] for v in order))
+    records, free_edges, loops = _key(g, range(g.r))
+    order = _labelling(records, _dense([repr(d) for d in decorations]))
+    # ``_key(g, order)``: the records with each mate's vertex as its position.
+    position = {v: k for k, v in enumerate(order)}
+    verts = tuple(tuple(r if r[2] == "b" else r[:4] + (position[r[4]],)
+                        for r in records[v]) for v in order)
+    key = ((verts, free_edges, loops), tuple(decorations[v] for v in order))
     return (key, tuple(v + 1 for v in order)) if with_order else key
 
 
@@ -418,8 +435,8 @@ def substitute(g: DirectedGraph, v: int, h: DirectedGraph) -> DirectedGraph:
             pi[ids[0]], pi[ids[1]] = ids[1], ids[0]
             exceptional += ids
 
-    return DirectedGraph(vertices, exceptional, iota, pi, delta, lam, beta,
-                         g.loop_count + h.loop_count + closed)
+    return DirectedGraph._trusted(vertices, exceptional, iota, pi, delta, lam, beta,
+                                  g.loop_count + h.loop_count + closed)
 
 
 def substitute_all(g: DirectedGraph, inner: Mapping[int, DirectedGraph]) -> DirectedGraph:

@@ -118,7 +118,7 @@ def wd_to_graph(d: WiringDiagram) -> DirectedGraph:
     order = {f: n for n, f in enumerate(names + exceptional)}
     remap = lambda m: {order[k]: m[k] for k in m}
     remap_pairs = lambda m: {order[k]: order[v] for k, v in m.items()}
-    return DirectedGraph(
+    return DirectedGraph._trusted(
         [[order[f] for f in cell] for cell in vertices],
         [order[f] for f in exceptional],
         remap_pairs(iota), remap_pairs(pi),

@@ -3,6 +3,8 @@
 Elements of the free wheeled prop are exact-rational linear combinations of
 generator-decorated graphs, with the vertex order quotiented away: term keys
 are loose canonical forms in which each vertex's decoration travels with it.
+A term is keyed only when its element is compared, hashed or its ``terms``
+read; the operations pass unkeyed terms on (see ``FreeElement``).
 The biased operations — horizontal composition (disjoint union), contraction
 (boundary gluing), units and relabelling — act by direct graph surgery, and
 ``flatten`` is the multilinear substitution expansion.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
@@ -69,35 +72,47 @@ class FreeElement:
     """An exact-rational combination of decorated graphs with one boundary.
 
     ``terms`` maps a loose canonical key to ``(coefficient, graph, decor)``;
-    zero coefficients are dropped.
+    zero coefficients are dropped, and terms with one key merge into the first
+    term that reached it.  ``terms`` is built on its first read (``==`` and
+    ``hash`` read it); until then the element holds its checked, nonzero
+    terms as given.  The operations read ``_items()``, which is always exactly
+    what ``terms.values()`` holds: one nonzero term is its own collapse, so it
+    needs no key, and more are collapsed first.
     """
 
-    __slots__ = ("in_labels", "out_labels", "terms")
+    __slots__ = ("in_labels", "out_labels", "_raw", "_terms")
 
     def __init__(self, in_labels: Iterable, out_labels: Iterable, terms=()):
         self.in_labels = frozenset(in_labels)
         self.out_labels = frozenset(out_labels)
-        self.terms: Dict = {}
+        self._raw, self._terms = [], None
         items = terms.values() if isinstance(terms, dict) else terms
         for coeff, graph, decor in items:
-            self._accumulate(Fraction(coeff), graph, tuple(decor))
+            coeff, decor = Fraction(coeff), tuple(decor)
+            if graph.boundary() != (self.in_labels, self.out_labels):
+                raise BoundaryMismatch(
+                    "term boundary %r != element boundary %r"
+                    % (graph.boundary(), (self.in_labels, self.out_labels)))
+            if len(decor) != graph.r:
+                raise ArityMismatch("%d decorations for %d vertices" % (len(decor), graph.r))
+            if coeff != 0:
+                self._raw.append((coeff, graph, decor))
 
-    def _accumulate(self, coeff, graph, decor):
-        if graph.boundary() != (self.in_labels, self.out_labels):
-            raise BoundaryMismatch(
-                "term boundary %r != element boundary %r"
-                % (graph.boundary(), (self.in_labels, self.out_labels)))
-        if len(decor) != graph.r:
-            raise ArityMismatch("%d decorations for %d vertices" % (len(decor), graph.r))
-        key = loose_canonical_form(graph, list(decor))
-        if key in self.terms:
-            c = self.terms[key][0] + coeff
-            if c == 0:
-                del self.terms[key]
-            else:
-                self.terms[key] = (c, self.terms[key][1], self.terms[key][2])
-        elif coeff != 0:
-            self.terms[key] = (coeff, graph, decor)
+    @property
+    def terms(self) -> Dict:
+        if self._terms is None:
+            self._terms = {}
+            for coeff, graph, decor in self._raw:
+                key = loose_canonical_form(graph, list(decor))
+                c, g, d = self._terms.get(key, (0, graph, decor))
+                if c + coeff == 0:  # coeff != 0, so key was there
+                    del self._terms[key]
+                else:
+                    self._terms[key] = (c + coeff, g, d)
+        return self._terms
+
+    def _items(self):
+        return self._raw if len(self._raw) <= 1 else self.terms.values()
 
     # -- linear structure --
 
@@ -108,12 +123,12 @@ class FreeElement:
         if other.boundary() != self.boundary():
             raise BoundaryMismatch("adding elements with different boundaries")
         return FreeElement(self.in_labels, self.out_labels,
-                           list(self.terms.values()) + list(other.terms.values()))
+                           [*self._items(), *other._items()])
 
     def scale(self, c) -> "FreeElement":
         c = Fraction(c)
         return FreeElement(self.in_labels, self.out_labels,
-                           [(c * k, g, dec) for k, g, dec in self.terms.values()])
+                           [(c * k, g, dec) for k, g, dec in self._items()])
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -129,12 +144,12 @@ class FreeElement:
                      tuple(sorted(((repr(k), c) for k, (c, _, _) in self.terms.items())))))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._items()
 
     def __repr__(self):
         return "FreeElement(in=%r, out=%r, %d terms)" % (
             sorted(self.in_labels, key=repr), sorted(self.out_labels, key=repr),
-            len(self.terms))
+            len(self._items()))
 
 
 def eta(sig: Signature, sym: str, in_seq: Sequence, out_seq: Sequence) -> FreeElement:
@@ -175,7 +190,7 @@ def _disjoint_union(g: DirectedGraph, h: DirectedGraph) -> DirectedGraph:
         return {ids[(side, k)]: v for k, v in m.items()}
     def mvp(side, m):
         return {ids[(side, k)]: ids[(side, v)] for k, v in m.items()}
-    return DirectedGraph(
+    return DirectedGraph._trusted(
         [[ids[("G", f)] for f in v] for v in g.vertices]
         + [[ids[("H", f)] for f in v] for v in h.vertices],
         [ids[("G", f)] for f in g.exceptional] + [ids[("H", f)] for f in h.exceptional],
@@ -191,12 +206,8 @@ def _disjoint_union(g: DirectedGraph, h: DirectedGraph) -> DirectedGraph:
 def _glue_boundary(g: DirectedGraph, i, j) -> DirectedGraph:
     """Glue the incoming boundary leg ``i`` to the outgoing leg ``j``."""
     legs = g.boundary_flags()
-    f_in = f_out = None
-    for f in legs:
-        if g.delta[f] == 1 and g.beta[f] == i:
-            f_in = f
-        if g.delta[f] == -1 and g.beta[f] == j:
-            f_out = f
+    leg_of = {(g.delta[f], g.beta[f]): f for f in legs}
+    f_in, f_out = leg_of.get((1, i)), leg_of.get((-1, j))
     if f_in is None or f_out is None:
         raise UnknownLabel("no boundary pair (%r in, %r out)" % (i, j))
 
@@ -218,8 +229,8 @@ def _glue_boundary(g: DirectedGraph, i, j) -> DirectedGraph:
             pi[a], pi[b] = b, a
             beta[a], beta[b] = g.beta[a], g.beta[b]
     delta = {f: d for f, d in g.delta.items() if f in g._vertex_of or f in pi}
-    return DirectedGraph(g.vertices, set(pi), iota, pi, delta, g.lam, beta,
-                         g.loop_count + closed)
+    return DirectedGraph._trusted(g.vertices, set(pi), iota, pi, delta, g.lam, beta,
+                                  g.loop_count + closed)
 
 
 # -- biased operations -------------------------------------------------------
@@ -230,8 +241,8 @@ def horizontal(a: FreeElement, b: FreeElement) -> FreeElement:
         raise LabelClash("boundaries overlap: %r / %r"
                          % (a.boundary(), b.boundary()))
     out = []
-    for ca, ga, da in a.terms.values():
-        for cb, gb, db in b.terms.values():
+    for ca, ga, da in a._items():
+        for cb, gb, db in b._items():
             out.append((ca * cb, _disjoint_union(ga, gb), tuple(da) + tuple(db)))
     return FreeElement(a.in_labels | b.in_labels, a.out_labels | b.out_labels, out)
 
@@ -242,7 +253,7 @@ def contract(a: FreeElement, i, j) -> FreeElement:
         raise UnknownLabel("%r not an in-label of %r" % (i, a))
     if j not in a.out_labels:
         raise UnknownLabel("%r not an out-label of %r" % (j, a))
-    out = [(c, _glue_boundary(g, i, j), dec) for c, g, dec in a.terms.values()]
+    out = [(c, _glue_boundary(g, i, j), dec) for c, g, dec in a._items()]
     return FreeElement(a.in_labels - {i}, a.out_labels - {j}, out)
 
 
@@ -260,16 +271,11 @@ def relabel(a: FreeElement, f: Mapping, g: Mapping) -> FreeElement:
     """Rename boundary labels by bijections ``f`` on inputs, ``g`` on outputs."""
     f, g = _bijections(a.in_labels, a.out_labels, f, g)
     out = []
-    for c, gr, dec in a.terms.values():
-        beta = {}
-        for fl in gr.boundary_flags():
-            if gr.delta[fl] == 1:
-                beta[fl] = f[gr.beta[fl]]
-            else:
-                beta[fl] = g[gr.beta[fl]]
-        out.append((c, DirectedGraph(gr.vertices, gr.exceptional, gr.iota,
-                                     gr.pi, gr.delta, gr.lam, beta,
-                                     gr.loop_count), dec))
+    for c, gr, dec in a._items():
+        beta = {fl: (f if gr.delta[fl] == 1 else g)[b] for fl, b in gr.beta.items()}
+        out.append((c, DirectedGraph._trusted(gr.vertices, gr.exceptional, gr.iota,
+                                              gr.pi, gr.delta, gr.lam, beta,
+                                              gr.loop_count), dec))
     return FreeElement(set(f.values()), set(g.values()), out)
 
 
@@ -291,12 +297,10 @@ def flatten(outer: DirectedGraph, inner: Sequence[FreeElement]) -> FreeElement:
                 "element %d boundary %r != neighbourhood %r"
                 % (k + 1, e.boundary(), outer.neighbourhood(k + 1)))
     ins, outs = outer.boundary()
-    choices = [list(e.terms.values()) for e in inner]
+    choices = [list(e._items()) for e in inner]
     out_terms = []
     for combo in itertools.product(*choices):
-        coeff = Fraction(1)
-        for c, _, _ in combo:
-            coeff *= c
+        coeff = math.prod(c for c, _, _ in combo)
         glued = substitute_all(outer, {k + 1: g for k, (_, g, _) in enumerate(combo)})
         decor = tuple(itertools.chain.from_iterable(dec for _, _, dec in combo))
         out_terms.append((coeff, glued, decor))
@@ -608,7 +612,7 @@ def to_obj(a: FreeElement):
     terms = [{"coeff": str(coeff),
               "graph": graphs.to_obj(graph),
               "decor": [[sym, list(ins), list(outs)] for sym, ins, outs in decor]}
-             for coeff, graph, decor in a.terms.values()]
+             for coeff, graph, decor in a._items()]
     terms.sort(key=lambda t: json.dumps(t, sort_keys=True))
     return {"in": sorted(a.in_labels, key=repr),
             "out": sorted(a.out_labels, key=repr),

@@ -255,6 +255,22 @@ def test_loose_key_has_no_size_limit():
         assert is_isomorphic_strict(reorder(g, order), h)
 
 
+def test_loose_key_is_the_strict_key_in_its_order():
+    # The loose key reuses the vertex records of one ``_key`` pass; it must
+    # equal the key built afresh in the winning order.
+    rng = random.Random(43)
+    cases = []
+    for _ in range(150):
+        g = random_graph(rng, max_vertices=5)
+        cases.append((g, [rng.choice("AB") for _ in range(g.r)]))
+    for n in range(3, 31):
+        cases.append(shuffled(rng, cover_graph(1, [(0, 0, 1)], n), [None] * n))
+    for g, decor in cases:
+        key, order = loose_canonical_form(g, decor, with_order=True)
+        order = [v - 1 for v in order]
+        assert key == (graphs._key(g, order), tuple(decor[v] for v in order))
+
+
 def test_reorder_rejects_non_permutation():
     with pytest.raises(UnknownVertex):
         reorder(chain_graph(), [1, 1])

@@ -1,11 +1,12 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from wirecat import endo, wprop
+from wirecat import endo, translate, wprop
 from wirecat.errors import (
     ArityMismatch,
     BoundaryMismatch,
@@ -13,12 +14,13 @@ from wirecat.errors import (
     NotABijection,
     WirecatError,
 )
-from wirecat.graphs import corolla, reorder, substitute_all
+from wirecat.graphs import DirectedGraph, corolla, reorder, substitute_all
 from wirecat.sampling import (
     endo_sampler,
     free_sampler,
     random_decorated_element,
     random_fraction,
+    random_free_term,
     random_graph_with_boundary,
     random_tensor,
     random_wiring_diagram,
@@ -373,3 +375,58 @@ def test_element_operation_goldens(op):
         for x in element_results(op, random.Random(seed)):
             digest.update(wprop.to_json(x).encode() + b"\n")
     assert digest.hexdigest() == ELEMENT_GOLDENS[op]
+
+
+def test_trusted_surgery_builds_valid_graphs(monkeypatch):
+    # Surgery skips ``validate``; every graph it builds on the law suites'
+    # sampled inputs must still pass it.
+    built = []
+    trusted = DirectedGraph._trusted.__func__
+
+    def recorded(cls, *parts):
+        g = trusted(cls, *parts)
+        built.append((sys._getframe(1).f_code.co_name, g))
+        return g
+
+    monkeypatch.setattr(DirectedGraph, "_trusted", classmethod(recorded))
+    rng = random.Random(61)
+    assert axiom_suite(FreeWheeledProp(SIG), free_sampler(SIG, max_terms=3),
+                       trials=10, rng=rng)["ok"]
+    for _ in range(20):
+        g, mids, inners = sample_two_level(rng)
+        flatten(g, [flatten(mids[v], inners[v]) for v in range(1, g.r + 1)])
+        flatten(substitute_all(g, mids),
+                [e for v in range(1, g.r + 1) for e in inners[v]])
+        h = translate.wd_to_graph(random_wiring_diagram(rng))
+        order = list(range(1, h.r + 1))
+        rng.shuffle(order)
+        reorder(h, order)
+    assert {name for name, _ in built} == {
+        "substitute", "reorder", "_disjoint_union", "_glue_boundary",
+        "relabel", "wd_to_graph"}
+    for name, g in built:
+        assert g.validate() == [], (name, g.validate())
+
+
+def test_terms_are_keyed_only_to_merge_or_compare(monkeypatch):
+    keys = []
+    loose = wprop.loose_canonical_form
+    monkeypatch.setattr(wprop, "loose_canonical_form",
+                        lambda *args, **kw: keys.append(args) or loose(*args, **kw))
+    rng = random.Random(62)
+    words = [random_free_term(rng, SIG) for _ in range(30)]
+    a = eta(SIG, "f", ("a", "b"), ("c",))
+    b = horizontal(unit_empty(), horizontal(eta(SIG, "g", ("x",), ("y", "z")), a))
+    chain = contract(horizontal(contract(b, "x", "z"), loop_element()), "a", "y")
+    assert keys == []
+    for x in words + [b, chain]:
+        ins, outs = sorted(x.in_labels), sorted(x.out_labels)
+        same = relabel(x, dict(zip(ins, ins)), dict(zip(outs, outs)))
+        assert len(keys) == 0 and not x.is_zero()
+        assert x == same and len(keys) == 2
+        assert x == same and hash(x) == hash(same) and len(keys) == 2
+        keys.clear()
+    # A sum holds its terms unkeyed until it is read: then one key per term.
+    total = a.scale(3) + a.scale(-1)
+    assert keys == []
+    assert total == a.scale(2) and len(keys) == 3
