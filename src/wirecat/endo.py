@@ -72,13 +72,19 @@ class Tensor:
         arr = np.asarray(num, dtype=object)
         if arr.size != dim ** len(axes):
             raise ArityMismatch("%d entries for %d axes of dim %d" % (arr.size, len(axes), dim))
-        common = math.gcd(den, *arr.flat)
-        if common != 1:
-            arr, den = np.asarray(arr // common, dtype=object), den // common
         order = sorted(range(len(axes)), key=lambda k: repr(axes[k]))
-        self.dim, self.axes, self.den = dim, tuple(axes[k] for k in order), den
-        self.num = arr.reshape((dim,) * len(axes)).transpose(order)
+        self._lowest(dim, tuple(axes[k] for k in order),
+                     arr.reshape((dim,) * len(axes)).transpose(order), den)
+
+    def _lowest(self, dim, axes, num, den) -> "Tensor":
+        """Hold ``num / den`` on the sorted, distinct ``axes``, in lowest terms."""
+        num = np.asarray(num, dtype=object)
+        common = math.gcd(den, *num.flat)
+        if common != 1:
+            num, den = np.asarray(num // common, dtype=object), den // common
+        self.dim, self.axes, self.num, self.den = dim, axes, num, den
         self.num.flags.writeable = False
+        return self
 
     @property
     def data(self):
@@ -113,15 +119,15 @@ class Tensor:
 
     def scale(self, c) -> "Tensor":
         c = rational(c)
-        return Tensor._exact(self.dim, self.axes, self.num * c.numerator,
-                             self.den * c.denominator)
+        return Tensor.__new__(Tensor)._lowest(
+            self.dim, self.axes, self.num * c.numerator, self.den * c.denominator)
 
     def __add__(self, other: "Tensor") -> "Tensor":
         if self.dim != other.dim or self.axes != other.axes:
             raise DimMismatch("adding tensors with different axes")
         den = math.lcm(self.den, other.den)
-        return Tensor._exact(self.dim, self.axes, self.num * (den // self.den)
-                             + other.num * (den // other.den), den)
+        num = self.num * (den // self.den) + other.num * (den // other.den)
+        return Tensor.__new__(Tensor)._lowest(self.dim, self.axes, num, den)
 
     def rename_axes(self, mapping) -> "Tensor":
         """Rename axis keys by a partial map (pol, label) -> (pol, label)."""
