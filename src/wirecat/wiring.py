@@ -56,7 +56,8 @@ class Interface:
         return hash(self.key())
 
     def __repr__(self):
-        return "Interface(out=%r, in=%r)" % (sorted(self.out_labels), sorted(self.in_labels))
+        return "Interface(out=%r, in=%r)" % (sorted(self.out_labels, key=repr),
+                                             sorted(self.in_labels, key=repr))
 
 
 class WiringDiagram:
@@ -94,7 +95,7 @@ class WiringDiagram:
             if dst not in expected_in:
                 raise EndpointSetMismatch("unknown in-endpoint %r" % (dst,))
         if len(self.matching) != len(expected_out):
-            missing = sorted(expected_out - set(self.matching))
+            missing = sorted(expected_out - set(self.matching), key=repr)
             raise NonBijectiveMatching("unmatched out-endpoints %r" % (missing,))
         values = set(self.matching.values())
         if len(values) != len(self.matching) or values != expected_in:

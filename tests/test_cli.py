@@ -37,12 +37,14 @@ def test_validate_wd_stdin(wd_json):
 
 
 def test_validate_domain_error_exit_1():
-    bad = ('{"output":{"out":["a"],"in":[]},"inputs":[],'
-           '"matching":[],"circles":0}')
-    rc, out, err = run(["validate", "--type", "wd", "-"], inp=bad)
-    assert rc == 1 and not out
-    msg = json.loads(err)
-    assert msg["error"] == "NonBijectiveMatching"
+    # The second input mixes label types, which cannot be ordered by value.
+    for labels in ('["a"]', '["a", 1]'):
+        bad = ('{"output":{"out":%s,"in":[]},"inputs":[],'
+               '"matching":[],"circles":0}' % labels)
+        rc, out, err = run(["validate", "--type", "wd", "-"], inp=bad)
+        assert rc == 1 and not out
+        msg = json.loads(err)
+        assert msg["error"] == "NonBijectiveMatching"
 
 
 @pytest.mark.parametrize("kind, text", [
@@ -64,6 +66,7 @@ def test_validate_domain_error_exit_1():
     ("wd", "[]"),
     ("wd", '{"output": 5}'),
     ("wd", '{"output": {"out": [], "in": []}, "circles": 1.5}'),
+    ("wd", '{"output": {"out": ["a", 1], "in": []}, "inputs": [], "matching": [], "circles": 0}'),
     ("element", "[]"),
     ("graph", '{"iota": 5}'),
     ("graph", '{"vertices": [["a"]], "delta": 5}'),

@@ -72,6 +72,8 @@ def test_compose_interface_mismatch():
     d = two_box_diagram()
     with pytest.raises(InterfaceMismatch):
         d.compose(1, identity_diagram(["wrong"], ["x"]))
+    with pytest.raises(InterfaceMismatch):  # labels of mixed types
+        d.compose(1, identity_diagram(["wrong", 1], ["x"]))
 
 
 def test_identity_laws_on_fixed_diagram():
