@@ -38,6 +38,14 @@ def check_dim(dim):
         raise DimMismatch("dimension %r is not a positive integer" % (dim,))
 
 
+def _lowest(num, den):
+    """``(num, den)`` for the entries ``num / den``, in lowest terms."""
+    common = math.gcd(den, *num.flat)
+    if common == 1:
+        return num, den
+    return np.asarray(num // common, dtype=object), den // common
+
+
 class Tensor:
     """A dense exact-rational tensor with named, canonically ordered axes.
 
@@ -72,19 +80,19 @@ class Tensor:
         arr = np.asarray(num, dtype=object)
         if arr.size != dim ** len(axes):
             raise ArityMismatch("%d entries for %d axes of dim %d" % (arr.size, len(axes), dim))
+        arr, den = _lowest(arr, den)
         order = sorted(range(len(axes)), key=lambda k: repr(axes[k]))
-        self._lowest(dim, tuple(axes[k] for k in order),
-                     arr.reshape((dim,) * len(axes)).transpose(order), den)
-
-    def _lowest(self, dim, axes, num, den) -> "Tensor":
-        """Hold ``num / den`` on the sorted, distinct ``axes``, in lowest terms."""
-        num = np.asarray(num, dtype=object)
-        common = math.gcd(den, *num.flat)
-        if common != 1:
-            num, den = np.asarray(num // common, dtype=object), den // common
-        self.dim, self.axes, self.num, self.den = dim, axes, num, den
+        self.dim, self.axes, self.den = dim, tuple(axes[k] for k in order), den
+        self.num = arr.reshape((dim,) * len(axes)).transpose(order)
         self.num.flags.writeable = False
-        return self
+
+    def _like(self, num, den) -> "Tensor":
+        """``num / den`` on this tensor's axes, already sorted and checked."""
+        t = Tensor.__new__(Tensor)
+        t.dim, t.axes = self.dim, self.axes
+        t.num, t.den = _lowest(np.asarray(num, dtype=object), den)
+        t.num.flags.writeable = False
+        return t
 
     @property
     def data(self):
@@ -119,15 +127,14 @@ class Tensor:
 
     def scale(self, c) -> "Tensor":
         c = rational(c)
-        return Tensor.__new__(Tensor)._lowest(
-            self.dim, self.axes, self.num * c.numerator, self.den * c.denominator)
+        return self._like(self.num * c.numerator, self.den * c.denominator)
 
     def __add__(self, other: "Tensor") -> "Tensor":
         if self.dim != other.dim or self.axes != other.axes:
             raise DimMismatch("adding tensors with different axes")
         den = math.lcm(self.den, other.den)
-        num = self.num * (den // self.den) + other.num * (den // other.den)
-        return Tensor.__new__(Tensor)._lowest(self.dim, self.axes, num, den)
+        return self._like(self.num * (den // self.den)
+                          + other.num * (den // other.den), den)
 
     def rename_axes(self, mapping) -> "Tensor":
         """Rename axis keys by a partial map (pol, label) -> (pol, label)."""

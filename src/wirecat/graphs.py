@@ -34,10 +34,9 @@ class DirectedGraph:
     holds the free-edge flags (all fixed by ``iota``, paired by ``pi``).
     Free loops appear only in ``loop_count``.
 
-    ``DirectedGraph(...)`` validates, as do the builders and loaders on it.
-    Surgery on valid graphs (``reorder``, ``substitute``, ``wd_to_graph``, the
-    free prop's union, gluing and relabelling) is valid by construction and
-    builds through ``_trusted``, which skips ``validate``.
+    ``DirectedGraph(...)`` validates.  Surgery on valid graphs (``reorder``,
+    ``substitute``, ``wd_to_graph``, the free prop's union, gluing and
+    relabelling) is valid by construction: it builds through ``_trusted``.
     """
 
     __slots__ = ("vertices", "exceptional", "iota", "pi", "delta", "lam",
@@ -155,8 +154,7 @@ class DirectedGraph:
         return ins, outs
 
     def boundary_flags(self) -> frozenset:
-        vertex_flags = set().union(*self.vertices) if self.vertices else set()
-        return frozenset(f for f in vertex_flags | self.exceptional
+        return frozenset(f for f in itertools.chain(self._vertex_of, self.exceptional)
                          if self.iota.get(f, f) == f)
 
     def boundary(self) -> Tuple[frozenset, frozenset]:
@@ -205,14 +203,14 @@ def _dense(values):
 
 def _labelling(records, colours: Sequence[int]) -> List[int]:
     """A canonical vertex order (0-based) of ``g``, given as its vertex records
-    ``_key(g, range(g.r))[0]``, with initial vertex colours ``colours``,
-    by individualisation and refinement (McKay & Piperno,
-    "Practical graph isomorphism II", 2014): refinement splits colour classes
-    by the colours at the far ends of each vertex's edges until nothing
-    splits, and the search individualises in turn each vertex of the tied cell
-    with the smallest colour.  The least leaf by (cell structures on its path,
-    certificate) wins.  Tied leaves reveal automorphisms; those that fix the
-    path to a node prune its children.
+    ``_key(g, range(g.r))[0]``, with initial vertex colours ``colours``, by
+    individualisation and refinement (McKay & Piperno, "Practical graph
+    isomorphism II", 2014): refinement splits colour classes by the colours at
+    the far ends of each vertex's edges until nothing splits, and the search
+    individualises in turn each vertex of the tied cell with the smallest
+    colour.  The least leaf by (cell structures on its path, certificate)
+    wins.  Tied leaves reveal automorphisms; those that fix the path to a node
+    prune its children.
     """
     vertices = range(len(records))
     local = _dense([repr((colours[v], [r[:4] for r in records[v]])) for v in vertices])

@@ -56,8 +56,7 @@ class Interface:
         return hash(self.key())
 
     def __repr__(self):
-        return "Interface(out=%r, in=%r)" % (sorted(self.out_labels, key=repr),
-                                             sorted(self.in_labels, key=repr))
+        return "Interface(out=%r, in=%r)" % tuple(map(list, self.key()))
 
 
 class WiringDiagram:

@@ -3,8 +3,7 @@
 Elements of the free wheeled prop are exact-rational linear combinations of
 generator-decorated graphs, with the vertex order quotiented away: term keys
 are loose canonical forms in which each vertex's decoration travels with it.
-A term is keyed only when its element is compared, hashed or its ``terms``
-read; the operations pass unkeyed terms on (see ``FreeElement``).
+Terms are keyed only to merge or compare them (see ``FreeElement``).
 The biased operations — horizontal composition (disjoint union), contraction
 (boundary gluing), units and relabelling — act by direct graph surgery, and
 ``flatten`` is the multilinear substitution expansion.
@@ -74,10 +73,9 @@ class FreeElement:
     ``terms`` maps a loose canonical key to ``(coefficient, graph, decor)``;
     zero coefficients are dropped, and terms with one key merge into the first
     term that reached it.  ``terms`` is built on its first read (``==`` and
-    ``hash`` read it); until then the element holds its checked, nonzero
-    terms as given.  The operations read ``_items()``, which is always exactly
-    what ``terms.values()`` holds: one nonzero term is its own collapse, so it
-    needs no key, and more are collapsed first.
+    ``hash`` read it); until then the element holds its checked, nonzero terms
+    as given.  Operations read ``_items()``, always exactly ``terms.values()``:
+    one nonzero term is its own collapse and needs no key; more are collapsed.
     """
 
     __slots__ = ("in_labels", "out_labels", "_raw", "_terms")
@@ -136,8 +134,8 @@ class FreeElement:
     def __eq__(self, other):
         return (isinstance(other, FreeElement)
                 and self.boundary() == other.boundary()
-                and set(self.terms) == set(other.terms)
-                and all(self.terms[k][0] == other.terms[k][0] for k in self.terms))
+                and {k: t[0] for k, t in self.terms.items()}
+                == {k: t[0] for k, t in other.terms.items()})
 
     def __hash__(self):
         return hash((self.in_labels, self.out_labels,
