@@ -20,7 +20,7 @@ class EndpointSetMismatch(WirecatError):
 
 
 class NegativeCircles(WirecatError):
-    """A diagram was given a negative circle count."""
+    """A diagram was given a circle count that is not a nonnegative integer."""
 
 
 class IndexOutOfRange(WirecatError):

@@ -84,8 +84,8 @@ class WiringDiagram:
     # -- construction checks --
 
     def _validate(self):
-        if self.circles < 0:
-            raise NegativeCircles("circles = %d" % self.circles)
+        if self.circles < 0 or self.circles != int(self.circles):
+            raise NegativeCircles("circles = %r is not a nonnegative integer" % (self.circles,))
         expected_out = set(self.out_endpoints())
         expected_in = set(self.in_endpoints())
         for src, dst in self.matching.items():

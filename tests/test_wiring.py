@@ -58,8 +58,9 @@ def test_validation_rejects_non_injective_matching():
 
 
 def test_negative_circles_rejected():
-    with pytest.raises(NegativeCircles):
-        WiringDiagram(Interface(), [], {}, circles=-1)
+    for circles in (-1, 1.5):  # graphs of diagrams are built unchecked
+        with pytest.raises(NegativeCircles):
+            WiringDiagram(Interface(), [], {}, circles=circles)
 
 
 def test_compose_index_out_of_range():
