@@ -291,8 +291,8 @@ def test_signature_roundtrip():
     assert wprop.signature_from_obj(obj).arities == SIG.arities
 
 
-# sha256 over ``wprop.to_json`` of forty seeded results of each operation
-# below, on multi-term elements of the free sampler.  When terms merge, the
+# sha256 over ``wprop.to_json`` of the results of each operation below on
+# seeds 0..39, on multi-term elements of the free sampler.  When terms merge, the
 # printed graph is the one of the first term that reached the key, so these
 # pin the representative graphs as well as the values.
 ELEMENT_GOLDENS = {
