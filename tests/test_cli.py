@@ -371,6 +371,41 @@ def test_strand_command_goldens(cmd, tmp_path, capsys):
     assert digest.hexdigest() == STRAND_GOLDENS[cmd]
 
 
+# sha256 of the standard output of ten seeded calls (seeds 0..9) of each
+# translation command.  `to-graph` names its flags by numbering the diagram's
+# endpoints, so a change in that numbering shows.  Even seeds draw diagrams and
+# graphs of at most 2 boxes or vertices, odd seeds of up to 32; the graph side
+# of the ten calls has free edges, free loops and twenty or more vertices.
+TRANSLATE_GOLDENS = {
+    "to-graph": "c00346176157aca8225ca2ce2cde8c6c3b54cd00fbde8f304a4d8a99d7bbc701",
+    "to-wd": "198d5cc43de5f56c2441b348523af287485680d0d6d8ba9bd9b0ef2f06b58fad",
+}
+
+
+def translate_input(cmd, seed):
+    """The JSON input of the seeded call of ``cmd``."""
+    rng, size = random.Random(seed), (2, 32)[seed % 2]
+    if cmd == "to-graph":
+        return wiring.to_json(random_wiring_diagram(rng, max_boxes=size))
+    return graphs.to_json(random_graph(rng, max_vertices=size))
+
+
+@pytest.mark.parametrize("cmd", list(TRANSLATE_GOLDENS))
+def test_translation_command_goldens(cmd, tmp_path, capsys):
+    digest, sides = hashlib.sha256(), []
+    for seed in range(10):
+        path = tmp_path / ("%d.json" % seed)
+        path.write_text(translate_input(cmd, seed))
+        assert cli.main([cmd, str(path)]) == 0
+        out = capsys.readouterr().out
+        digest.update(out.encode())
+        sides.append(json.loads(out if cmd == "to-graph" else path.read_text()))
+    assert any(g["exceptional"] for g in sides)
+    assert any(g["loops"] for g in sides)
+    assert any(len(g["vertices"]) >= 20 for g in sides)
+    assert digest.hexdigest() == TRANSLATE_GOLDENS[cmd]
+
+
 # sha256 of the standard output of the evaluation commands: ten seeded `eval`
 # calls (seeds 0..9) and `killing` on sl2 at d=3 for n = 2, 3, 4.  Axis order
 # and entries come from how the graph evaluator contracts, so a change there
