@@ -93,6 +93,8 @@ class DirectedGraph:
                 # Paired exceptional flags would be a free loop; loops live in
                 # loop_count, and the exceptional cell must be iota-fixed.
                 bad.append("ExceptionalLeak: iota moves exceptional flag %r" % (f,))
+        if not all_flags.issuperset(self.iota):
+            bad.append("ExceptionalLeak: iota pairs flags that are in no cell")
 
         if set(self.pi) != self.exceptional:
             bad.append("PiDomain: pi domain is not the exceptional cell")
@@ -323,31 +325,12 @@ def is_isomorphic_loose(g: DirectedGraph, h: DirectedGraph) -> Optional[Tuple[in
 
 # -- corollas and substitution ----------------------------------------------
 
-def corolla(in_labels: Iterable[str], out_labels: Iterable[str],
-            boundary_relabel: Optional[Tuple[Mapping, Mapping]] = None) -> DirectedGraph:
-    """A one-vertex graph with only boundary legs.
-
-    With ``boundary_relabel = (f_in, g_out)`` the leg labels ``beta`` become
-    the images of the vertex labels, which makes substitution around a graph
-    rename its boundary.
-    """
-    f_in, g_out = boundary_relabel if boundary_relabel else ({}, {})
-    delta, lam, beta = {}, {}, {}
-    flags = []
-    n = 0
-    for a in sorted(in_labels):
-        flags.append(n)
-        delta[n] = 1
-        lam[n] = a
-        beta[n] = f_in.get(a, a)
-        n += 1
-    for a in sorted(out_labels):
-        flags.append(n)
-        delta[n] = -1
-        lam[n] = a
-        beta[n] = g_out.get(a, a)
-        n += 1
-    return DirectedGraph([flags], (), {}, {}, delta, lam, beta, 0)
+def corolla(in_labels: Iterable[str], out_labels: Iterable[str]) -> DirectedGraph:
+    """A one-vertex graph with only boundary legs, each labelled as its flag."""
+    legs = [(1, a) for a in sorted(in_labels)] + [(-1, a) for a in sorted(out_labels)]
+    labels = {n: a for n, (_, a) in enumerate(legs)}
+    delta = {n: sign for n, (sign, _) in enumerate(legs)}
+    return DirectedGraph([list(labels)], (), {}, {}, delta, labels, labels, 0)
 
 
 def free_edge(in_label: str, out_label: str) -> DirectedGraph:

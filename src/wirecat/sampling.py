@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import wprop
 from .endo import Tensor
 from .graphs import DirectedGraph
+from .translate import wd_to_graph
 from .wiring import IN, OUT, Interface, WiringDiagram
 
 
@@ -190,7 +191,6 @@ def random_graph_with_boundary(rng: random.Random, in_labels, out_labels,
                                max_vertices: int = 3, max_labels: int = 3,
                                max_circles: int = 1) -> DirectedGraph:
     """A random valid graph with the prescribed boundary label sets."""
-    from .translate import wd_to_graph
     d = random_diagram_with_output(rng, in_labels, out_labels,
                                    max_boxes=max_vertices,
                                    max_labels=max_labels,

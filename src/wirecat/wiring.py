@@ -33,6 +33,12 @@ IN = "in"
 Endpoint = Tuple[int, str, str]
 
 
+def label_key(a):
+    """Sort key for labels, total on JSON scalars: numbers, then strings,
+    then ``None``.  Labels of one type keep their plain ``sorted`` order."""
+    return (a is None, isinstance(a, str), a)
+
+
 class Interface:
     """A pair of duplicate-free label sets: outgoing and incoming."""
 
@@ -268,7 +274,8 @@ def renumber_inputs(d: WiringDiagram, sigma: Mapping[int, int]) -> WiringDiagram
 # -- serialization -----------------------------------------------------------
 
 def _interface_to_obj(i: Interface):
-    return {"out": sorted(i.out_labels), "in": sorted(i.in_labels)}
+    return {"out": sorted(i.out_labels, key=label_key),
+            "in": sorted(i.in_labels, key=label_key)}
 
 
 def all_fit(xs, shape) -> bool:
@@ -311,7 +318,8 @@ def to_obj(d: WiringDiagram):
     return {
         "output": _interface_to_obj(d.output),
         "inputs": [_interface_to_obj(i) for i in d.inputs],
-        "matching": [[list(src), list(dst)] for src, dst in sorted(d.matching.items())],
+        "matching": [[list(src), list(dst)] for src, dst in sorted(
+            d.matching.items(), key=lambda m: (m[0][:2], label_key(m[0][2])))],
         "circles": d.circles,
     }
 

@@ -70,6 +70,7 @@ def test_validate_domain_error_exit_1():
     ("element", "[]"),
     ("graph", '{"iota": 5}'),
     ("graph", '{"vertices": [["a"]], "delta": 5}'),
+    ("graph", '{"vertices": [], "iota": [[5, 6]]}'),
     ("element", '{"in": [], "out": [], "terms": [{"graph": {"loops": 1}, "coeff": "1/0"}]}'),
     ("element", '{"in": [], "out": [], "terms": [{"graph": {"loops": 1}, "coeff": 0.1}]}'),
 ])
@@ -157,6 +158,31 @@ def test_translation_pipeline_roundtrip(wd_json):
     assert rc == 0
     assert graphs.canonical_form(graphs.from_json(graph_back)) == \
         graphs.canonical_form(graphs.from_json(graph_out))
+
+
+def pipe(cmd, text, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert cli.main([cmd, "-"]) == 0
+    return capsys.readouterr().out
+
+
+def test_mixed_label_types_translate_and_back(monkeypatch, capsys):
+    mixed = ('{"output": {"out": ["a", 1], "in": ["a", 1]}, "inputs": [], '
+             '"matching": [[[0,"out","a"],[0,"in",1]], [[0,"out",1],[0,"in","a"]]], '
+             '"circles": 0}')
+    graph = pipe("to-graph", mixed, monkeypatch, capsys)
+    back = pipe("to-wd", graph, monkeypatch, capsys)
+    assert wiring.from_json(back) == wiring.from_json(mixed)
+    assert json.loads(back)["output"] == {"out": [1, "a"], "in": [1, "a"]}
+
+
+def test_integer_labels_keep_numeric_order(monkeypatch, capsys):
+    d = wiring.identity_diagram([10, 2], [2, 10])
+    graph = pipe("to-graph", wiring.to_json(d), monkeypatch, capsys)
+    assert json.loads(graph)["lambda"] == [[0, 2], [1, 10], [2, 2], [3, 10]]
+    back = pipe("to-wd", graph, monkeypatch, capsys)
+    assert json.loads(back)["output"] == {"out": [2, 10], "in": [2, 10]}
+    assert wiring.from_json(back) == d
 
 
 def test_compose_matches_library(tmp_path):

@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import given, strategies as st
+
+from wirecat import graphs, wiring
 from wirecat.graphs import (
     canonical_form,
     corolla,
@@ -74,3 +77,32 @@ def test_composition_substitution_intertwining():
         lhs = wd_to_graph(d.compose(i, inner))
         rhs = substitute(wd_to_graph(d), i, wd_to_graph(inner))
         assert is_isomorphic_strict(lhs, rhs)
+
+
+# Labels mix integers and strings, "1" and 1 among them.
+LABELS = st.one_of(st.integers(-2, 12), st.text("ab1", max_size=2))
+
+
+@st.composite
+def diagrams(draw):
+    """A valid wiring diagram: random label lists per box and polarity, the
+    longer side cut to the shorter, and the in-endpoints permuted."""
+    boxes = range(draw(st.integers(0, 4)) + 1)
+    ends = {pol: [(k, pol, a) for k in boxes
+                  for a in draw(st.lists(LABELS, max_size=4, unique=True))]
+            for pol in (OUT, IN)}
+    n = min(len(ends[OUT]), len(ends[IN]))
+    outs, ins = ends[OUT][:n], draw(st.permutations(ends[IN][:n]))
+    interfaces = [Interface([a for b, _, a in outs if b == k],
+                            [a for b, _, a in ins if b == k]) for k in boxes]
+    return WiringDiagram(interfaces[0], interfaces[1:], dict(zip(outs, ins)),
+                         draw(st.integers(0, 2)))
+
+
+@given(diagrams())
+def test_translation_of_any_valid_diagram(d):
+    g = wd_to_graph(d)
+    assert g.validate() == []
+    assert graph_to_wd(g) == d
+    assert wiring.from_json(wiring.to_json(d)) == d
+    graphs.to_json(g)
