@@ -315,11 +315,13 @@ def _interface_from_obj(obj) -> Interface:
 
 
 def to_obj(d: WiringDiagram):
+    boxes = [_interface_to_obj(i) for i in (d.output,) + d.inputs]
     return {
-        "output": _interface_to_obj(d.output),
-        "inputs": [_interface_to_obj(i) for i in d.inputs],
-        "matching": [[list(src), list(dst)] for src, dst in sorted(
-            d.matching.items(), key=lambda m: (m[0][:2], label_key(m[0][2])))],
+        "output": boxes[0],
+        "inputs": boxes[1:],
+        # Sorted by out-endpoint: by box, then by label.
+        "matching": [[[k, OUT, a], list(d.matching[(k, OUT, a)])]
+                     for k, box in enumerate(boxes) for a in box["out"]],
         "circles": d.circles,
     }
 
