@@ -31,7 +31,8 @@ def graph_to_wd(g: DirectedGraph) -> WiringDiagram:
     def at_box0(f):  # where a boundary leg ends: box 0 sees it reversed
         return (0, IN if g.delta[f] == -1 else OUT, g.beta[f])
 
-    # Each strand is matched from the end of its outgoing (delta=-1) flag.
+    # The matching runs from out- to in-endpoints: the strand of an outgoing
+    # (delta=-1) flag starts at the flag's own end.
     matching = {at_vertex(f): at_vertex(m) for f, m in g.iota.items()
                 if m != f and g.delta[f] == -1}
     for f in g.boundary_flags():
