@@ -327,10 +327,12 @@ def is_isomorphic_loose(g: DirectedGraph, h: DirectedGraph) -> Optional[Tuple[in
 
 def corolla(in_labels: Iterable[str], out_labels: Iterable[str]) -> DirectedGraph:
     """A one-vertex graph with only boundary legs, each labelled as its flag."""
-    legs = [(1, a) for a in sorted(in_labels)] + [(-1, a) for a in sorted(out_labels)]
-    labels = {n: a for n, (_, a) in enumerate(legs)}
-    delta = {n: sign for n, (sign, _) in enumerate(legs)}
-    return DirectedGraph([list(labels)], (), {}, {}, delta, labels, labels, 0)
+    delta, lam = {}, {}
+    for sign, labels in ((1, in_labels), (-1, out_labels)):
+        for a in sorted(labels):
+            n = len(lam)
+            delta[n], lam[n] = sign, a
+    return DirectedGraph([list(lam)], (), {}, {}, delta, lam, lam, 0)
 
 
 def free_edge(in_label: str, out_label: str) -> DirectedGraph:
