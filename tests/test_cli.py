@@ -12,6 +12,7 @@ from wirecat import cli, errors, graphs, lie, wiring, wprop
 from wirecat.sampling import (
     random_composable_pair,
     random_decorated_element,
+    random_diagram_with_output,
     random_fraction,
     random_graph,
     random_graph_with_boundary,
@@ -430,6 +431,36 @@ def test_translation_command_goldens(cmd, tmp_path, capsys):
     assert any(g["loops"] for g in sides)
     assert any(len(g["vertices"]) >= 20 for g in sides)
     assert digest.hexdigest() == TRANSLATE_GOLDENS[cmd]
+
+
+# sha256 of ``wiring.to_json`` of each sampler's diagram for seeds 0..199, one
+# line per seed.  Each seed draws its box and label limits first, and for
+# ``random_diagram_with_output`` its output interface, so that the trimming and
+# balancing branches all run; a change in what the sampler draws, or in what
+# order, shows.
+SAMPLER_GOLDENS = {
+    "random_wiring_diagram": "c2eec0334d5755ce7c5cbb4948cccb6e784074657095a2d031ff2d0124b5b67d",
+    "random_diagram_with_output": "ef8285f1a61d698dc2afa19dbd0c8901d4f507d24db970f516ebafce5a616088",
+}
+
+
+def sampler_json(name, seed):
+    """``wiring.to_json`` of the diagram ``name`` draws at ``seed``."""
+    rng = random.Random(seed)
+    limits = {"max_boxes": rng.randint(0, 6), "max_labels": rng.randint(0, 4)}
+    if name == "random_wiring_diagram":
+        return wiring.to_json(random_wiring_diagram(rng, **limits))
+    outs = ["x%d" % k for k in range(rng.randint(0, 4))]
+    ins = ["y%d" % k for k in range(rng.randint(0, 4))]
+    return wiring.to_json(random_diagram_with_output(rng, outs, ins, **limits))
+
+
+@pytest.mark.parametrize("name", list(SAMPLER_GOLDENS))
+def test_sampler_goldens(name):
+    digest = hashlib.sha256()
+    for seed in range(200):
+        digest.update((sampler_json(name, seed) + "\n").encode())
+    assert digest.hexdigest() == SAMPLER_GOLDENS[name]
 
 
 # sha256 of the standard output of the evaluation commands: ten seeded `eval`
