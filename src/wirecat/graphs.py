@@ -34,6 +34,11 @@ class DirectedGraph:
     holds the free-edge flags (all fixed by ``iota``, paired by ``pi``).
     Free loops appear only in ``loop_count``.
 
+    ``validate`` ties each map to the flags it covers, and readers rely on
+    it: ``delta``'s domain is every flag, ``lam``'s the vertex flags,
+    ``beta``'s the boundary (the ``iota``-fixed flags) and ``pi``'s the
+    exceptional cell.
+
     ``DirectedGraph(...)`` validates.  Surgery on valid graphs (``reorder``,
     ``substitute``, ``wd_to_graph``, the free prop's union, gluing and
     relabelling) is valid by construction: it builds through ``_trusted``.
@@ -107,6 +112,8 @@ class DirectedGraph:
         for f in all_flags:
             if self.delta.get(f) not in (-1, 1):
                 bad.append("DeltaMismatch: no direction on flag %r" % (f,))
+        if not all_flags.issuperset(self.delta):
+            bad.append("DeltaMismatch: delta directs flags that are in no cell")
         for f in all_flags:
             g = self.iota.get(f, f)
             if g != f and self.delta.get(f) == self.delta.get(g):
@@ -155,15 +162,10 @@ class DirectedGraph:
         outs = frozenset(self.lam[f] for f in flags if self.delta[f] == -1)
         return ins, outs
 
-    def boundary_flags(self) -> frozenset:
-        return frozenset(f for f in itertools.chain(self._vertex_of, self.exceptional)
-                         if self.iota.get(f, f) == f)
-
     def boundary(self) -> Tuple[frozenset, frozenset]:
         """(in_labels, out_labels) of the whole graph."""
-        flags = self.boundary_flags()
-        ins = frozenset(self.beta[f] for f in flags if self.delta[f] == 1)
-        outs = frozenset(self.beta[f] for f in flags if self.delta[f] == -1)
+        ins = frozenset(b for f, b in self.beta.items() if self.delta[f] == 1)
+        outs = frozenset(b for f, b in self.beta.items() if self.delta[f] == -1)
         return ins, outs
 
     def __eq__(self, other):
@@ -362,7 +364,7 @@ def substitute(g: DirectedGraph, v: int, h: DirectedGraph) -> DirectedGraph:
     removed = g.vertices[v - 1]
     # Glue: flag f of the removed vertex meets the boundary flag of h carrying
     # the same label with the same direction.
-    h_leg = {(h.delta[f], h.beta[f]): f for f in h.boundary_flags()}
+    h_leg = {(h.delta[f], b): f for f, b in h.beta.items()}
     glue = {("G", f): ("H", h_leg[(g.delta[f], g.lam[f])]) for f in removed}
     glue.update({b: a for a, b in glue.items()})
 
@@ -398,8 +400,7 @@ def substitute(g: DirectedGraph, v: int, h: DirectedGraph) -> DirectedGraph:
     # Exceptional flags of h and internal flags of the removed vertex are
     # passed through.  Free edges of the result take fresh ids in walk order.
     ends = list(new_id) + [("G", f) for f in sorted(g.exceptional, key=repr)]
-    ends += [("G", f) for f in sorted(removed, key=repr)
-             if g.iota.get(f, f) == f]
+    ends += [("G", f) for f in sorted(removed, key=repr) if f in g.beta]
     strands, closed = resolve_strands(link, glue, ends)
     exceptional = []
     for a, b in strands:
@@ -440,15 +441,14 @@ def _flag_sort_key(f):
 
 
 def to_obj(g: DirectedGraph):
-    flags = sorted(set().union(*g.vertices) | g.exceptional if g.vertices or g.exceptional
-                   else set(), key=_flag_sort_key)
+    flags = sorted(g.delta, key=_flag_sort_key)
     idx = {f: i for i, f in enumerate(flags)}
     return {
         "vertices": [sorted(idx[f] for f in v) for v in g.vertices],
         "exceptional": sorted(idx[f] for f in g.exceptional),
         "iota": sorted([idx[a], idx[b]] for a, b in g.iota.items() if a != b and repr(a) < repr(b)),
         "pi": sorted([idx[a], idx[b]] for a, b in g.pi.items() if repr(a) < repr(b)),
-        "delta": [[idx[f], g.delta[f]] for f in flags if f in g.delta],
+        "delta": [[idx[f], g.delta[f]] for f in flags],
         "lambda": sorted([idx[f], g.lam[f]] for f in g.lam),
         "beta": sorted([idx[f], g.beta[f]] for f in g.beta),
         "loops": g.loop_count,
@@ -505,7 +505,7 @@ def to_dot(g: DirectedGraph) -> str:
         lines.append('  v%d -> v%d [taillabel="%s", headlabel="%s"];'
                      % (g._vertex_of[src] + 1, g._vertex_of[dst] + 1,
                         g.lam[src], g.lam[dst]))
-    for f in sorted(g.boundary_flags() & set(g._vertex_of), key=repr):
+    for f in sorted(g.beta.keys() - g.exceptional, key=repr):
         n += 1
         lines.append('  b%d [shape=none, label="%s"];' % (n, g.beta[f]))
         v = g._vertex_of[f] + 1

@@ -251,13 +251,6 @@ def lie_dim(n: int, bound: Optional[int] = None) -> int:
 
 # -- trace-symbol spaces ------------------------------------------------------
 
-def _subst_leaf(t, letter, sub):
-    if isinstance(t, int):
-        return sub if t == letter else t
-    l, r = t
-    return (_subst_leaf(l, letter, sub), _subst_leaf(r, letter, sub))
-
-
 def _map_letters(t, f):
     if isinstance(t, int):
         return f(t)
@@ -270,11 +263,11 @@ def _relation_row(p_tree, q_tree, n1, m1):
     n = n1 + m1
     # w1 = p with its last input replaced by q, q's letters shifted by n1.
     q_shift = _map_letters(q_tree, lambda a: a + n1)
-    w1 = _subst_leaf(p_tree, n1 + 1, q_shift)
+    w1 = _map_letters(p_tree, lambda a: q_shift if a == n1 + 1 else a)
     # w2 = q with its last input replaced by p, p's letters shifted by m1,
     # then the two blocks of 1..n transposed.
     p_shift = _map_letters(p_tree, lambda a: a + m1)
-    w2 = _subst_leaf(q_tree, m1 + 1, p_shift)
+    w2 = _map_letters(q_tree, lambda a: p_shift if a == m1 + 1 else a)
 
     def beta(a):
         if a <= m1:

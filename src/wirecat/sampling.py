@@ -35,21 +35,23 @@ def random_wiring_diagram(rng: random.Random, max_boxes: int = 5,
     ins = [rng.randint(0, max_labels) for _ in range(r + 1)]
     # Balance the totals by trimming random boxes on the long side, so no
     # interface ever exceeds max_labels.
-    while sum(outs) > sum(ins):
-        k = rng.choice([k for k in range(r + 1) if outs[k]])
-        outs[k] -= 1
-    while sum(ins) > sum(outs):
-        k = rng.choice([k for k in range(r + 1) if ins[k]])
-        ins[k] -= 1
-    interfaces = [Interface(_labels("a", outs[k]), _labels("b", ins[k]))
-                  for k in range(r + 1)]
-    out_eps = [(k, OUT, a) for k in range(r + 1)
-               for a in sorted(interfaces[k].out_labels)]
-    in_eps = [(k, IN, a) for k in range(r + 1)
-              for a in sorted(interfaces[k].in_labels)]
+    long, short = (outs, ins) if sum(outs) > sum(ins) else (ins, outs)
+    for _ in range(sum(long) - sum(short)):
+        long[rng.choice([k for k, n in enumerate(long) if n])] -= 1
+    return _matched(rng, [Interface(_labels("a", n), _labels("b", m))
+                          for n, m in zip(outs, ins)], max_circles)
+
+
+def _matched(rng: random.Random, interfaces: Sequence[Interface],
+             max_circles: int) -> WiringDiagram:
+    """A diagram on ``interfaces`` (box 0 first) with a uniform matching and
+    a random number of circles."""
+    out_eps = [(k, OUT, a) for k, box in enumerate(interfaces)
+               for a in sorted(box.out_labels)]
+    in_eps = [(k, IN, a) for k, box in enumerate(interfaces)
+              for a in sorted(box.in_labels)]
     rng.shuffle(in_eps)
-    matching = dict(zip(out_eps, in_eps))
-    return WiringDiagram(interfaces[0], interfaces[1:], matching,
+    return WiringDiagram(interfaces[0], interfaces[1:], dict(zip(out_eps, in_eps)),
                          rng.randint(0, max_circles))
 
 
@@ -70,43 +72,22 @@ def random_diagram_with_output(rng: random.Random, out_labels, in_labels,
     r = rng.randint(0, max_boxes)
     outs = [rng.randint(0, max_labels) for _ in range(r)]
     ins = [rng.randint(0, max_labels) for _ in range(r)]
-    # Balance: the output interface is fixed, so trim or top up the input
-    # boxes (adding a box if there is nothing left to adjust).
-    while len(output.out_labels) + sum(outs) != len(output.in_labels) + sum(ins):
-        gap = (len(output.out_labels) + sum(outs)
-               - (len(output.in_labels) + sum(ins)))
-        if gap > 0:
-            trimmable = [k for k in range(r) if outs[k]]
-            if trimmable and rng.random() < 0.5:
-                outs[rng.choice(trimmable)] -= 1
-                continue
-            if r == 0 or all(ins[k] >= max_labels for k in range(r)):
-                outs.append(0)
-                ins.append(0)
-                r += 1
-            ins[rng.choice([k for k in range(r) if ins[k] < max_labels] or
-                           list(range(r)))] += 1
-        else:
-            trimmable = [k for k in range(r) if ins[k]]
-            if trimmable and rng.random() < 0.5:
-                ins[rng.choice(trimmable)] -= 1
-                continue
-            if r == 0 or all(outs[k] >= max_labels for k in range(r)):
-                outs.append(0)
-                ins.append(0)
-                r += 1
-            outs[rng.choice([k for k in range(r) if outs[k] < max_labels] or
-                            list(range(r)))] += 1
-    interfaces = [output] + [Interface(_labels("c", outs[k]), _labels("d", ins[k]))
-                             for k in range(r)]
-    out_eps = [(k, OUT, a) for k in range(r + 1)
-               for a in sorted(interfaces[k].out_labels)]
-    in_eps = [(k, IN, a) for k in range(r + 1)
-              for a in sorted(interfaces[k].in_labels)]
-    rng.shuffle(in_eps)
-    matching = dict(zip(out_eps, in_eps))
-    return WiringDiagram(output, interfaces[1:], matching,
-                         rng.randint(0, max_circles))
+    # Balance: the output interface is fixed, so trim the long side of the
+    # input boxes or top up their short side (adding a box if none has room).
+    while gap := (len(output.out_labels) + sum(outs)
+                  - len(output.in_labels) - sum(ins)):
+        long, short = (outs, ins) if gap > 0 else (ins, outs)
+        trimmable = [k for k, n in enumerate(long) if n]
+        if trimmable and rng.random() < 0.5:
+            long[rng.choice(trimmable)] -= 1
+            continue
+        if all(n >= max_labels for n in short):
+            outs.append(0)
+            ins.append(0)
+        room = [k for k, n in enumerate(short) if n < max_labels]
+        short[rng.choice(room or range(len(short)))] += 1
+    return _matched(rng, [output] + [Interface(_labels("c", n), _labels("d", m))
+                                     for n, m in zip(outs, ins)], max_circles)
 
 
 def random_composable_pair(rng: random.Random, **kw):

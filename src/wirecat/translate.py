@@ -35,7 +35,7 @@ def graph_to_wd(g: DirectedGraph) -> WiringDiagram:
     # (delta=-1) flag starts at the flag's own end.
     matching = {at_vertex(f): at_vertex(m) for f, m in g.iota.items()
                 if m != f and g.delta[f] == -1}
-    for f in g.boundary_flags():
+    for f in g.beta:
         near = at_vertex(f) if f in g._vertex_of else at_box0(g.pi[f])
         src, dst = (near, at_box0(f)) if g.delta[f] == -1 else (at_box0(f), near)
         matching[src] = dst

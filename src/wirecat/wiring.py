@@ -40,7 +40,8 @@ def label_key(a):
 
 
 class Interface:
-    """A pair of duplicate-free label sets: outgoing and incoming."""
+    """A pair of duplicate-free label sets: outgoing and incoming.  Interfaces
+    compare and hash by value."""
 
     __slots__ = ("out_labels", "in_labels")
 
@@ -51,27 +52,25 @@ class Interface:
     def flip(self) -> "Interface":
         return Interface(self.in_labels, self.out_labels)
 
-    def key(self):
-        return (tuple(sorted(self.out_labels, key=repr)),
-                tuple(sorted(self.in_labels, key=repr)))
-
     def __eq__(self, other):
-        return isinstance(other, Interface) and self.key() == other.key()
+        return (isinstance(other, Interface) and self.out_labels == other.out_labels
+                and self.in_labels == other.in_labels)
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((self.out_labels, self.in_labels))
 
     def __repr__(self):
-        return "Interface(out=%r, in=%r)" % tuple(map(list, self.key()))
+        return "Interface(out=%r, in=%r)" % (sorted(self.out_labels, key=repr),
+                                             sorted(self.in_labels, key=repr))
 
 
 class WiringDiagram:
-    """An immutable wiring diagram; equality is structural.
+    """An immutable wiring diagram; it compares and hashes by value.
 
     ``matching`` maps every out-endpoint to an in-endpoint, bijectively.
     """
 
-    __slots__ = ("output", "inputs", "matching", "circles", "_key")
+    __slots__ = ("output", "inputs", "matching", "circles")
 
     def __init__(self, output: Interface, inputs: Iterable[Interface],
                  matching: Mapping[Endpoint, Endpoint], circles: int = 0):
@@ -80,20 +79,15 @@ class WiringDiagram:
         self.matching: Dict[Endpoint, Endpoint] = dict(matching)
         self.circles = circles
         self._validate()
-        self._key = (
-            self.output.key(),
-            tuple(i.key() for i in self.inputs),
-            tuple(sorted(self.matching.items(), key=repr)),
-            self.circles,
-        )
 
     # -- construction checks --
 
     def _validate(self):
         if self.circles < 0 or self.circles != int(self.circles):
             raise NegativeCircles("circles = %r is not a nonnegative integer" % (self.circles,))
-        expected_out = set(self.out_endpoints())
-        expected_in = set(self.in_endpoints())
+        boxes = (self.output,) + self.inputs
+        expected_out = {(k, OUT, a) for k, box in enumerate(boxes) for a in box.out_labels}
+        expected_in = {(k, IN, a) for k, box in enumerate(boxes) for a in box.in_labels}
         for src, dst in self.matching.items():
             if src not in expected_out:
                 raise EndpointSetMismatch("unknown out-endpoint %r" % (src,))
@@ -112,24 +106,14 @@ class WiringDiagram:
     def r(self) -> int:
         return len(self.inputs)
 
-    def interface(self, box: int) -> Interface:
-        return self.output if box == 0 else self.inputs[box - 1]
-
-    def out_endpoints(self):
-        for box in range(self.r + 1):
-            for a in self.interface(box).out_labels:
-                yield (box, OUT, a)
-
-    def in_endpoints(self):
-        for box in range(self.r + 1):
-            for a in self.interface(box).in_labels:
-                yield (box, IN, a)
-
     def __eq__(self, other):
-        return isinstance(other, WiringDiagram) and self._key == other._key
+        return (isinstance(other, WiringDiagram) and self.output == other.output
+                and self.inputs == other.inputs and self.matching == other.matching
+                and self.circles == other.circles)
 
     def __hash__(self):
-        return hash(self._key)
+        return hash((self.output, self.inputs, frozenset(self.matching.items()),
+                     self.circles))
 
     def __repr__(self):
         return "WiringDiagram(r=%d, circles=%d)" % (self.r, self.circles)
@@ -233,10 +217,7 @@ def identity_diagram(s: Iterable[str], t: Iterable[str]) -> WiringDiagram:
 
     The right identity is ``identity_diagram(t, s)``.
     """
-    s, t = frozenset(s), frozenset(t)
-    matching = {(0, OUT, a): (1, IN, a) for a in s}
-    matching.update({(1, OUT, b): (0, IN, b) for b in t})
-    return WiringDiagram(Interface(s, t), [Interface(t, s)], matching, 0)
+    return permutation_diagram({a: a for a in s}, {b: b for b in t})
 
 
 def permutation_diagram(sigma: Mapping[str, str], tau: Mapping[str, str]) -> WiringDiagram:

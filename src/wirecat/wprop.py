@@ -84,8 +84,7 @@ class FreeElement:
         self.in_labels = frozenset(in_labels)
         self.out_labels = frozenset(out_labels)
         self._raw, self._terms = [], None
-        items = terms.values() if isinstance(terms, dict) else terms
-        for coeff, graph, decor in items:
+        for coeff, graph, decor in terms:
             coeff, decor = Fraction(coeff), tuple(decor)
             if graph.boundary() != (self.in_labels, self.out_labels):
                 raise BoundaryMismatch(
@@ -139,7 +138,7 @@ class FreeElement:
 
     def __hash__(self):
         return hash((self.in_labels, self.out_labels,
-                     tuple(sorted(((repr(k), c) for k, (c, _, _) in self.terms.items())))))
+                     frozenset((k, c) for k, (c, _, _) in self.terms.items())))
 
     def is_zero(self) -> bool:
         return not self._items()
@@ -181,8 +180,7 @@ def _disjoint_union(g: DirectedGraph, h: DirectedGraph) -> DirectedGraph:
     fresh = itertools.count()
     ids = {}
     for side, gr in (("G", g), ("H", h)):
-        flags = (set().union(*gr.vertices) if gr.vertices else set()) | gr.exceptional
-        for f in sorted(flags, key=repr):
+        for f in sorted(gr.delta, key=repr):
             ids[(side, f)] = next(fresh)
     def mv(side, m):
         return {ids[(side, k)]: v for k, v in m.items()}
@@ -202,17 +200,15 @@ def _disjoint_union(g: DirectedGraph, h: DirectedGraph) -> DirectedGraph:
 
 
 def _glue_boundary(g: DirectedGraph, i, j) -> DirectedGraph:
-    """Glue the incoming boundary leg ``i`` to the outgoing leg ``j``."""
-    legs = g.boundary_flags()
-    leg_of = {(g.delta[f], g.beta[f]): f for f in legs}
-    f_in, f_out = leg_of.get((1, i)), leg_of.get((-1, j))
-    if f_in is None or f_out is None:
-        raise UnknownLabel("no boundary pair (%r in, %r out)" % (i, j))
+    """Glue the incoming boundary leg ``i`` to the outgoing leg ``j``, both of
+    which ``contract`` has checked to exist."""
+    leg_of = {(g.delta[f], b): f for f, b in g.beta.items()}
+    f_in, f_out = leg_of[(1, i)], leg_of[(-1, j)]
 
     # Strands run between boundary flags other than the glued free-edge flags,
     # which are passed through.  Surviving flags keep their ids.
     glue = {f_in: f_out, f_out: f_in}
-    ends = [f for f in legs if f not in glue or f in g._vertex_of]
+    ends = [f for f in g.beta if f not in glue or f in g._vertex_of]
     strands, closed = resolve_strands(g.pi, glue, ends)
     iota, pi, beta = dict(g.iota), {}, {}
     for a, b in strands:

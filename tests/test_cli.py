@@ -72,6 +72,7 @@ def test_validate_domain_error_exit_1():
     ("graph", '{"iota": 5}'),
     ("graph", '{"vertices": [["a"]], "delta": 5}'),
     ("graph", '{"vertices": [], "iota": [[5, 6]]}'),
+    ("graph", '{"vertices": [], "delta": [[7, 1]]}'),
     ("element", '{"in": [], "out": [], "terms": [{"graph": {"loops": 1}, "coeff": "1/0"}]}'),
     ("element", '{"in": [], "out": [], "terms": [{"graph": {"loops": 1}, "coeff": 0.1}]}'),
 ])
@@ -234,6 +235,20 @@ def test_flatten_and_compose_free(tmp_path):
                       str(tmp_path / "e.json"), str(tmp_path / "f.json")])
     assert rc == 0
     assert wprop.from_json(out) == wprop.dioperadic(e, "p0", f, "s0")
+
+
+def test_compose_free_rejects_stray_delta(tmp_path, capsys):
+    # A free edge p0 -> q0 whose delta also directs flag 7, in no cell.
+    graph = {"exceptional": [0, 1], "pi": [[0, 1]], "beta": [[0, "p0"], [1, "q0"]],
+             "delta": [[0, 1], [1, -1], [7, 1]]}
+    (tmp_path / "a.json").write_text(json.dumps(
+        {"in": ["p0"], "out": ["q0"], "terms": [{"graph": graph, "decor": []}]}))
+    (tmp_path / "b.json").write_text(wprop.to_json(wprop.unit("s0")))
+    assert cli.main(["compose-free", "--at-in", "p0", "--at-out", "s0",
+                     str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert json.loads(err)["error"] == "InvalidGraph" and "DeltaMismatch" in err
 
 
 def test_axioms_deterministic_and_passing():

@@ -81,6 +81,26 @@ def test_validate_rejects_duplicate_boundary_label():
                       {0: "a", 1: "a"}, {0: "p", 1: "p"}, 0)
 
 
+@pytest.mark.parametrize("parts, clause", [
+    (([[0], [0]], (), {}, {}, {0: 1}, {0: "a"}, {0: "p"}), "PartitionOverlap"),
+    (([], [0, 1], {0: 1, 1: 0}, {0: 1, 1: 0}, {0: 1, 1: -1}, {}, {}),
+     "ExceptionalLeak: iota moves exceptional"),
+    (([], [0, 1], {}, {}, {0: 1, 1: -1}, {}, {0: "p", 1: "q"}), "PiDomain"),
+    (([], [0], {}, {0: 0}, {0: 1}, {}, {0: "p"}), "PiFixedPoint: pi fixes"),
+    (([], [0, 1, 2], {}, {0: 1, 1: 2, 2: 0}, {0: 1, 1: -1, 2: 1}, {},
+      {0: "p", 1: "q", 2: "r"}), "PiFixedPoint: pi not an involution"),
+    (([[0]], (), {}, {}, {}, {0: "a"}, {0: "p"}), "DeltaMismatch: no direction"),
+    (([], [0, 1], {}, {0: 1, 1: 0}, {0: 1, 1: 1}, {}, {0: "p", 1: "q"}),
+     "DeltaMismatch: delta equal across free edge"),
+    (([], (), {}, {}, {7: 1}, {}, {}), "DeltaMismatch: delta directs flags"),
+    (([[0]], (), {}, {}, {0: 1}, {}, {0: "p"}), "LabelCollision: lambda domain"),
+])
+def test_validate_names_each_violated_clause(parts, clause):
+    with pytest.raises(InvalidGraph) as caught:
+        DirectedGraph(*parts)
+    assert any(v.startswith(clause) for v in caught.value.violations)
+
+
 def test_boundary_of_chain():
     g = chain_graph()
     assert g.boundary() == (frozenset({"p"}), frozenset({"q"}))
@@ -374,3 +394,25 @@ def test_to_dot_mentions_all_vertices():
     dot = graphs.to_dot(g)
     assert dot.startswith("digraph")
     assert "v1" in dot and "v2" in dot
+
+
+def test_to_dot_draws_free_edges_and_loops():
+    g = DirectedGraph([[0, 1], [2]], [3, 4], {1: 2, 2: 1}, {3: 4, 4: 3},
+                      {0: 1, 1: -1, 2: 1, 3: 1, 4: -1}, {0: "a", 1: "m", 2: "m"},
+                      {0: "p", 3: "x", 4: "y"}, 2)
+    assert graphs.to_dot(g).splitlines() == [
+        "digraph G {",
+        '  v1 [label="v1"];',
+        '  v2 [label="v2"];',
+        '  v1 -> v2 [taillabel="m", headlabel="m"];',
+        '  b1 [shape=none, label="p"];',
+        "  b1 -> v1;",
+        '  e2a [shape=none, label="y"];',
+        '  e2b [shape=none, label="x"];',
+        "  e2a -> e2b;",
+        '  loop1 [shape=point, label=""];',
+        "  loop1 -> loop1;",
+        '  loop2 [shape=point, label=""];',
+        "  loop2 -> loop2;",
+        "}",
+    ]

@@ -225,6 +225,21 @@ def test_permutation_diagram_permutes_labels():
         wiring.permutation_diagram({"a": "a", "b": "a"}, {})
 
 
+def test_diagrams_and_interfaces_compare_by_value():
+    assert Interface(["a"], ["b"]) == Interface({"a"}, ("b",))
+    assert hash(Interface(["a"], ["b"])) == hash(Interface({"a"}, ("b",)))
+    assert Interface(["a"], ["b"]) != Interface(["b"], ["a"])
+    d = two_box_diagram()
+    same = WiringDiagram(Interface(["a"], ["b"]), list(d.inputs),
+                         dict(reversed(list(d.matching.items()))))
+    assert same == d and hash(same) == hash(d)
+    swap = wiring.permutation_diagram({"a": "b", "b": "a"}, {})
+    assert swap != identity_diagram(["a", "b"], [])
+    assert WiringDiagram(d.output, d.inputs, d.matching, 1) != d
+    assert WiringDiagram(d.output, d.inputs[::-1], wiring.renumber_inputs(
+        d, {1: 2, 2: 1}).matching) != d
+
+
 def test_json_roundtrip():
     rng = random.Random(16)
     for _ in range(25):
