@@ -185,6 +185,7 @@ def cmd_export_dot(args):
 
 # -- parser -------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="wirecat")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -268,14 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first ``main`` call and reused after it."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (WirecatError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -248,7 +248,7 @@ def to_obj(t: Tensor):
     }
 
 
-_TENSOR = {"axes": [[{IN, OUT}, (str, int)]], "data": [None]}
+_TENSOR = {"dim": (int,), "axes": [[{IN, OUT}, (str, int)]], "data": [None]}
 
 
 def from_obj(obj) -> Tensor:
@@ -257,11 +257,15 @@ def from_obj(obj) -> Tensor:
     return Tensor(obj["dim"], obj["axes"], obj["data"])
 
 
-def rational(x) -> Fraction:
-    """An integer, ``Fraction`` or rational string as a ``Fraction``; never a
-    float, as 0.1 is not 1/10, nor a boolean."""
+def check_exact(x):
+    """Refuse a float, as 0.1 is not 1/10, or a boolean: ``InvalidTensor``."""
     if isinstance(x, (bool, float)):
         raise InvalidTensor("%r is inexact: give an integer or a string like '1/10'" % (x,))
+
+
+def rational(x) -> Fraction:
+    """An integer, ``Fraction`` or rational string as a ``Fraction``."""
+    check_exact(x)
     try:
         q = Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError) as exc:

@@ -181,19 +181,17 @@ class DirectedGraph:
 
 # -- canonical forms ---------------------------------------------------------
 
-def _key(g: DirectedGraph, order: Sequence[int]):
-    """``g`` without flag names, its vertices (0-based) taken in ``order``: each
-    vertex lists its flags by direction and label, each with its boundary
-    label, or with its mate's label and the position of the mate's vertex."""
-    position = {v: k for k, v in enumerate(order)}
-
+def canonical_form(g: DirectedGraph):
+    """``g`` without flag names; equal iff the graphs are strictly isomorphic.
+    Each vertex lists its flags by direction and label, each with its boundary
+    label, or with its mate's label and the (0-based) index of its vertex."""
     def record(f):
         mate = g.iota.get(f, f)
         if mate == f:
             return (g.delta[f], g.lam[f], "b", g.beta[f])
-        return (g.delta[f], g.lam[f], "e", g.lam[mate], position[g._vertex_of[mate]])
-    verts = tuple(tuple(map(record, sorted(g.vertices[v], key=lambda f: (
-        g.delta[f], repr(g.lam[f]))))) for v in order)
+        return (g.delta[f], g.lam[f], "e", g.lam[mate], g._vertex_of[mate])
+    verts = tuple(tuple(map(record, sorted(v, key=lambda f: (
+        g.delta[f], repr(g.lam[f]))))) for v in g.vertices)
     free_edges = sorted(((g.beta[f], g.beta[m]) for f, m in g.pi.items()
                          if g.delta[f] == 1), key=repr)
     return (verts, tuple(free_edges), g.loop_count)
@@ -207,7 +205,7 @@ def _dense(values):
 
 def _labelling(records, colours: Sequence[int]) -> List[int]:
     """A canonical vertex order (0-based) of ``g``, given as its vertex records
-    ``_key(g, range(g.r))[0]``, with initial vertex colours ``colours``, by
+    ``canonical_form(g)[0]``, with initial vertex colours ``colours``, by
     individualisation and refinement (McKay & Piperno, "Practical graph
     isomorphism II", 2014): refinement splits colour classes by the colours at
     the far ends of each vertex's edges until nothing splits, and the search
@@ -279,11 +277,6 @@ def _orbit(points, autos, fixed):
     return seen
 
 
-def canonical_form(g: DirectedGraph):
-    """A flag-name-free structure; equal iff the graphs are strictly isomorphic."""
-    return _key(g, range(g.r))
-
-
 def is_isomorphic_strict(g: DirectedGraph, h: DirectedGraph) -> bool:
     return canonical_form(g) == canonical_form(h)
 
@@ -306,9 +299,9 @@ def loose_canonical_form(g: DirectedGraph, decorations: Optional[Sequence] = Non
     must travel with it.  ``with_order`` also returns the order of the
     vertices in the key, as ``reorder`` takes it."""
     decorations = [None] * g.r if decorations is None else list(decorations)
-    records, free_edges, loops = _key(g, range(g.r))
+    records, free_edges, loops = canonical_form(g)
     order = _labelling(records, _dense([repr(d) for d in decorations]))
-    # ``_key(g, order)``: the records with each mate's vertex as its position.
+    # The strict key of ``g`` reordered: each mate's vertex is its position.
     position = {v: k for k, v in enumerate(order)}
     verts = tuple(tuple(r if r[2] == "b" else r[:4] + (position[r[4]],)
                         for r in records[v]) for v in order)
@@ -491,6 +484,11 @@ def from_json(text: str) -> DirectedGraph:
     return from_obj(json.loads(text))
 
 
+def _quoted(label) -> str:
+    """``label`` as the inside of a DOT string: ``\\`` and ``"`` escaped."""
+    return str(label).replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(g: DirectedGraph) -> str:
     """GraphViz rendering: arrows run from outgoing (-1) to incoming (+1)."""
     lines = ["digraph G {"]
@@ -504,10 +502,10 @@ def to_dot(g: DirectedGraph) -> str:
         src, dst = (f, m) if g.delta[f] == -1 else (m, f)
         lines.append('  v%d -> v%d [taillabel="%s", headlabel="%s"];'
                      % (g._vertex_of[src] + 1, g._vertex_of[dst] + 1,
-                        g.lam[src], g.lam[dst]))
+                        _quoted(g.lam[src]), _quoted(g.lam[dst])))
     for f in sorted(g.beta.keys() - g.exceptional, key=repr):
         n += 1
-        lines.append('  b%d [shape=none, label="%s"];' % (n, g.beta[f]))
+        lines.append('  b%d [shape=none, label="%s"];' % (n, _quoted(g.beta[f])))
         v = g._vertex_of[f] + 1
         if g.delta[f] == 1:
             lines.append("  b%d -> v%d;" % (n, v))
@@ -519,8 +517,8 @@ def to_dot(g: DirectedGraph) -> str:
         m = g.pi[f]
         src, dst = (f, m) if g.delta[f] == -1 else (m, f)
         n += 1
-        lines.append('  e%da [shape=none, label="%s"];' % (n, g.beta[src]))
-        lines.append('  e%db [shape=none, label="%s"];' % (n, g.beta[dst]))
+        lines.append('  e%da [shape=none, label="%s"];' % (n, _quoted(g.beta[src])))
+        lines.append('  e%db [shape=none, label="%s"];' % (n, _quoted(g.beta[dst])))
         lines.append("  e%da -> e%db;" % (n, n))
     for j in range(g.loop_count):
         lines.append('  loop%d [shape=point, label=""];' % (j + 1))

@@ -10,10 +10,8 @@ with its last input.  The space of trace symbols in ``n`` letters is the
 span of ``t`` over the basis of the (n+1)-letter Lie space, modulo the cyclic
 relation t(p composed-at-last q) = beta t(q composed-at-last p) closed under
 letter permutations; the quotient basis is computed by exact elimination.
-The relation is bilinear in p and q, and every permutation is a shuffle of
-p's and q's letter blocks after permutations inside the blocks (Reutenauer,
-*Free Lie Algebras*, 1993), so the shuffles of each relation row for basis
-words p and q span the same space as all n! letter permutations of it.
+On right-normed basis words (Reutenauer, *Free Lie Algebras*, 1993) the
+relation is the rotation uv ~ vu of the letters before the traced one.
 
 The multilinear Lie space is spanned by one bracketing per antisymmetry
 class, the one with each node's largest letter in its right factor:
@@ -173,16 +171,10 @@ def _nf(t) -> Dict[Word, int]:
     return {w: c for w, c in out.items() if c}
 
 
-def nf(t) -> Dict[Word, Fraction]:
-    """Normal-form coordinates of a bracket tree."""
-    return {w: Fraction(c) for w, c in _nf(t).items()}
-
-
 def normalize(trees) -> Dict[Word, Fraction]:
     """Normalize a tree or a {tree-or-key: coefficient} combination."""
     if isinstance(trees, (int, tuple)):
-        _check_multilinear(trees)
-        return nf(trees)
+        trees = {trees: 1}
     out: Dict[Word, Fraction] = {}
     for t, c in trees.items():
         _check_multilinear(t)
@@ -301,38 +293,36 @@ class TraceSpace:
         self._elim = Eliminator()
         for row in self._relation_instances(n):
             self._elim.add(row)
-        if extra_instances:
-            rows = list(self._random_instances(n, extra_instances, rng))
-            for row in rows:
-                self._elim.add(row)
-        pivot_keys = set(self._elim.pivots)
-        self.basis = [w for w in self.symbols if w not in pivot_keys]
+        for row in self._random_instances(n, extra_instances, rng):
+            self._elim.add(row)
+        self.basis = [w for w in self.symbols if w not in self._elim.pivots]
         self.dim = len(self.basis)
 
     @staticmethod
     def _closed(row, n, n1):
-        """The copies of a relation row under the shuffles of the letter
-        blocks 1..n1 and n1+1..n, the identity first; n+1 stays put."""
+        """The copies of a relation row (basis-word keys, none if it is empty)
+        under the shuffles of the letter blocks 1..n1 and n1+1..n, identity
+        first, each relabelling the keys letter by letter; n+1 stays put."""
+        if not row:
+            return
         for first in itertools.combinations(range(1, n + 1), n1):
             second = tuple(a for a in range(1, n + 1) if a not in first)
-            table = tuple(zip(range(1, n + 2), first + second + (n + 1,)))
-            out: Dict[Word, int] = {}
-            for w, c in row.items():
-                for w2, c2 in _perm_cache(w, table):
-                    out[w2] = out.get(w2, 0) + c * c2
-            out = {w: c for w, c in out.items() if c}
-            if out:
-                yield out
+            table = (0,) + first + second + (n + 1,)
+            yield {tuple(table[a] for a in w): c for w, c in row.items()}
 
     def _relation_instances(self, n):
-        for n1 in range(0, n + 1):
-            m1 = n - n1
-            for p in basis_words(n1 + 1):
-                for q in basis_words(m1 + 1):
-                    row = _relation_row(word_to_tree(p), word_to_tree(q), n1, m1)
-                    if not row:
-                        continue
-                    yield from self._closed(row, n, n1)
+        """One row e_{w.(n+1)} - e_{rot(w).(n+1)} per word w of 1..n (rot
+        moves the first letter to the end); none for n < 2.  They span the
+        relation space.  For basis words p = u.(n1+1) and q = v.(m1+1), both
+        composites in ``_relation_row`` are right-normed with n+1 innermost,
+        so its row is e_{uv'.(n+1)} - e_{v'u.(n+1)}, v' being v shifted by n1.
+        Letter permutations fixing n+1 map basis words to basis words, so the
+        closure is spanned by e_{xy.(n+1)} - e_{yx.(n+1)} over the words xy of
+        1..n, x and y nonempty: for w = xy, the sum of the rows here of w,
+        rot(w), ..., rot^(|x|-1)(w)."""
+        if n >= 2:
+            for w in self.symbols:
+                yield {w: 1, w[1:-1] + w[:1] + w[-1:]: -1}
 
     def _random_instances(self, n, count, rng):
         rng = rng or random.Random(0)
@@ -341,20 +331,11 @@ class TraceSpace:
             m1 = n - n1
             p = rng.choice(all_trees(list(range(1, n1 + 2))))
             q = rng.choice(all_trees(list(range(1, m1 + 2))))
-            row = _relation_row(p, q, n1, m1)
-            if row:
-                yield from self._closed(row, n, n1)
+            yield from self._closed(_relation_row(p, q, n1, m1), n, n1)
 
     def reduce(self, coords: Dict[Word, Fraction]) -> Dict[Word, Fraction]:
         """Quotient-basis coordinates of a t-symbol combination."""
         return self._elim.reduce(coords)
-
-
-@lru_cache(maxsize=None)
-def _perm_cache(word, table_items):
-    table = dict(table_items)
-    tree = _map_letters(word_to_tree(word), lambda a: table[a])
-    return tuple(sorted(_nf(tree).items()))
 
 
 # -- Killing forms ------------------------------------------------------------
@@ -467,7 +448,7 @@ def _set_partitions(items):
         yield [[first]] + part
 
 
-def wheeled_dim(n: int, m: int, bound: Optional[int] = None) -> int:
+def wheeled_dim(n: int, m: int) -> int:
     """Dimension of the two-sided space with n inputs and m outputs.
 
     Sums over splittings of the n letters into m nonempty ordered word
@@ -490,12 +471,12 @@ def wheeled_dim(n: int, m: int, bound: Optional[int] = None) -> int:
             for k in word_blocks:
                 nb = len(blocks[k])
                 if nb not in lie_dims:
-                    lie_dims[nb] = lie_dim(nb, bound)
+                    lie_dims[nb] = lie_dim(nb)
                 prod *= lie_dims[nb]
             for b in trace_blocks:
                 nb = len(b)
                 if nb not in trace_dims:
-                    trace_dims[nb] = TraceSpace(nb, bound=bound).dim
+                    trace_dims[nb] = TraceSpace(nb).dim
                 prod *= trace_dims[nb]
             total += prod
     return total

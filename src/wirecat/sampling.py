@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from . import wprop
 from .endo import Tensor
@@ -56,12 +56,10 @@ def _matched(rng: random.Random, interfaces: Sequence[Interface],
 
 
 def random_diagram_into(rng: random.Random, outer: WiringDiagram, i: int,
-                        max_boxes: int = 3, max_labels: int = 3,
-                        max_circles: int = 2) -> WiringDiagram:
+                        max_boxes: int = 3) -> WiringDiagram:
     """A random diagram composable into box ``i`` (1-based) of ``outer``."""
     inner = outer.inputs[i - 1]
-    return random_diagram_with_output(rng, inner.in_labels, inner.out_labels,
-                                      max_boxes, max_labels, max_circles)
+    return random_diagram_with_output(rng, inner.in_labels, inner.out_labels, max_boxes)
 
 
 def random_diagram_with_output(rng: random.Random, out_labels, in_labels,
@@ -90,10 +88,10 @@ def random_diagram_with_output(rng: random.Random, out_labels, in_labels,
                                      for n, m in zip(outs, ins)], max_circles)
 
 
-def random_composable_pair(rng: random.Random, **kw):
+def random_composable_pair(rng: random.Random):
     """(outer, i, inner) with inner composable into box i of outer."""
     while True:
-        d = random_wiring_diagram(rng, **kw)
+        d = random_wiring_diagram(rng)
         if d.r:
             break
     i = rng.randint(1, d.r)
@@ -180,27 +178,27 @@ def random_graph_with_boundary(rng: random.Random, in_labels, out_labels,
 
 
 def random_decorated_element(rng: random.Random, in_labels, out_labels,
-                             max_vertices: int = 3, max_terms: int = 2,
-                             n_symbols: int = 4) -> wprop.FreeElement:
+                             max_vertices: int = 3,
+                             max_terms: int = 2) -> wprop.FreeElement:
     """A random free-prop element with the prescribed boundary.
 
-    Decorations are synthesized ad hoc (symbol plus slot order), which is all
-    the monad laws care about.
+    Decorations are synthesized ad hoc (one of the symbols e0..e3 plus slot
+    order), which is all the monad laws care about.
     """
     def term():
         g = random_graph_with_boundary(rng, in_labels, out_labels, max_vertices)
         decor = []
         for k in range(g.r):
             ins, outs = g.neighbourhood(k + 1)
-            decor.append(("e%d" % rng.randrange(n_symbols),
+            decor.append(("e%d" % rng.randrange(4),
                           tuple(sorted(ins)), tuple(sorted(outs))))
         return (random_fraction(rng) or 1, g, tuple(decor))
     terms = [term() for _ in range(rng.randint(1, max_terms))]
     return wprop.FreeElement(in_labels, out_labels, terms)
 
 
-def random_fraction(rng: random.Random, num: int = 9, den: int = 4) -> Fraction:
-    return Fraction(rng.randint(-num, num), rng.randint(1, den))
+def random_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
 
 
 def random_tensor(rng: random.Random, d: int, in_labels: Sequence,
@@ -211,22 +209,21 @@ def random_tensor(rng: random.Random, d: int, in_labels: Sequence,
     return Tensor(d, axes, data)
 
 
-def endo_sampler(d: int, max_in: int = 2, max_out: int = 2):
-    """A sampler of random End elements for the axiom suite."""
+def endo_sampler(d: int):
+    """A sampler of End elements with up to 2 axes per side, for the axiom suite."""
     def sample(rng: random.Random) -> Tensor:
-        n = rng.randint(0, max_in)
-        m = rng.randint(0, max_out)
+        n = rng.randint(0, 2)
+        m = rng.randint(0, 2)
         return random_tensor(rng, d, _labels("x", n), _labels("y", m))
     return sample
 
 
-def random_free_term(rng: random.Random, sig: wprop.Signature,
-                     max_gens: int = 2, max_contractions: int = 1) -> wprop.FreeElement:
-    """A single random product-and-contract word in the free prop."""
+def random_free_term(rng: random.Random, sig: wprop.Signature) -> wprop.FreeElement:
+    """A random word in the free prop: 1-2 generators, a loop or not, 0-1 contractions."""
     syms = sorted(sig.arities)
     fresh = itertools.count()
     elem = wprop.unit_empty()
-    for _ in range(rng.randint(1, max_gens)):
+    for _ in range(rng.randint(1, 2)):
         sym = rng.choice(syms)
         n, m = sig.arity(sym)
         ins = ["g%d" % next(fresh) for _ in range(n)]
@@ -234,7 +231,7 @@ def random_free_term(rng: random.Random, sig: wprop.Signature,
         elem = wprop.horizontal(elem, wprop.eta(sig, sym, ins, outs))
     if rng.random() < 0.3:
         elem = wprop.horizontal(elem, wprop.loop_element())
-    for _ in range(rng.randint(0, max_contractions)):
+    for _ in range(rng.randint(0, 1)):
         ins, outs = elem.boundary()
         if not ins or not outs:
             break
@@ -244,14 +241,13 @@ def random_free_term(rng: random.Random, sig: wprop.Signature,
     return elem
 
 
-def free_sampler(sig: wprop.Signature, max_gens: int = 2,
-                 max_contractions: int = 1, max_terms: int = 2):
+def free_sampler(sig: wprop.Signature, max_terms: int = 2):
     """A sampler of random free-prop elements (short linear combinations)."""
     def sample(rng: random.Random) -> wprop.FreeElement:
-        first = random_free_term(rng, sig, max_gens, max_contractions)
+        first = random_free_term(rng, sig)
         elem = first.scale(random_fraction(rng) or 1)
         for _ in range(rng.randint(0, max_terms - 1)):
-            other = random_free_term(rng, sig, max_gens, max_contractions)
+            other = random_free_term(rng, sig)
             ins1, outs1 = first.boundary()
             ins2, outs2 = other.boundary()
             if len(ins1) != len(ins2) or len(outs1) != len(outs2):

@@ -263,8 +263,9 @@ def all_fit(xs, shape) -> bool:
     """Whether every JSON value in ``xs`` has ``shape``: ``None`` (a scalar),
     a tuple of exact types (``True`` is no ``int``), a set of values, ``[s]``
     (a list of ``s``), ``[s1, ..., sk]``, k > 1 (a list of k items) or a dict
-    (an object whose keys, where present, fit).  Checking a level at a time
-    over all of ``xs`` costs a few set operations in C, not a call per item.
+    (an object with no other keys, each present key fitting; ``{}``: any).
+    Checking a level at a time over all of ``xs`` costs a few set operations
+    in C, not a call per item.
     """
     if not xs:
         return True
@@ -282,13 +283,16 @@ def all_fit(xs, shape) -> bool:
             items = itertools.chain.from_iterable(xs)
             return all_fit(items if shape[0] is None else list(items), shape[0])
         return all(all_fit([x[i] for x in xs], s) for i, s in enumerate(shape))
-    return {dict}.issuperset(map(type, xs)) and all(
+    return {dict}.issuperset(map(type, xs)) and (
+        not shape or set(shape).issuperset(itertools.chain.from_iterable(xs))) and all(
         all_fit([x[k] for x in xs if k in x], s) for k, s in shape.items())
 
 
-_INTERFACE = {"out": [None], "in": [None]}
+_LABEL = (int, str, type(None))
+_INTERFACE = {"out": [_LABEL], "in": [_LABEL]}
+_ENDPOINT = [(int,), None, _LABEL]
 _DIAGRAM = {"output": _INTERFACE, "inputs": [_INTERFACE],
-            "matching": [[[None, None, None], [None, None, None]]], "circles": (int,)}
+            "matching": [[_ENDPOINT, _ENDPOINT]], "circles": (int,)}
 
 
 def _interface_from_obj(obj) -> Interface:

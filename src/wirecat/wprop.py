@@ -76,6 +76,7 @@ class FreeElement:
     ``hash`` read it); until then the element holds its checked, nonzero terms
     as given.  Operations read ``_items()``, always exactly ``terms.values()``:
     one nonzero term is its own collapse and needs no key; more are collapsed.
+    Coefficients are exact: a float or a boolean raises ``InvalidTensor``.
     """
 
     __slots__ = ("in_labels", "out_labels", "_raw", "_terms")
@@ -85,6 +86,7 @@ class FreeElement:
         self.out_labels = frozenset(out_labels)
         self._raw, self._terms = [], None
         for coeff, graph, decor in terms:
+            endo.check_exact(coeff)
             coeff, decor = Fraction(coeff), tuple(decor)
             if graph.boundary() != (self.in_labels, self.out_labels):
                 raise BoundaryMismatch(
@@ -123,6 +125,7 @@ class FreeElement:
                            [*self._items(), *other._items()])
 
     def scale(self, c) -> "FreeElement":
+        endo.check_exact(c)
         c = Fraction(c)
         return FreeElement(self.in_labels, self.out_labels,
                            [(c * k, g, dec) for k, g, dec in self._items()])
@@ -306,8 +309,6 @@ def flatten(outer: DirectedGraph, inner: Sequence[FreeElement]) -> FreeElement:
 class WheeledProp:
     """Capability set shared by wheeled-prop implementations."""
 
-    name = "abstract"
-
     def boundary(self, x):  # -> (in_labels, out_labels)
         raise NotImplementedError
 
@@ -326,9 +327,6 @@ class WheeledProp:
     def relabel(self, a, f, g):
         raise NotImplementedError
 
-    def equal(self, a, b) -> bool:
-        return a == b
-
     def evaluate(self, g: DirectedGraph, args: Sequence):
         """Evaluate ``g`` with ``args[k]`` placed on vertex k+1."""
         raise NotImplementedError
@@ -338,37 +336,23 @@ class WheeledProp:
 
 
 class FreeWheeledProp(WheeledProp):
-    name = "free"
+    """The free wheeled prop on ``signature``: its operations are this
+    module's functions."""
+
+    boundary = staticmethod(FreeElement.boundary)
+    horizontal = staticmethod(horizontal)
+    contract = staticmethod(contract)
+    relabel = staticmethod(relabel)
+    unit = staticmethod(unit)
+    unit_empty = staticmethod(unit_empty)
+    evaluate = staticmethod(flatten)
 
     def __init__(self, signature: Signature):
         self.signature = signature
 
-    def boundary(self, x):
-        return x.boundary()
-
-    def horizontal(self, a, b):
-        return horizontal(a, b)
-
-    def contract(self, a, i, j):
-        return contract(a, i, j)
-
-    def unit(self, label):
-        return unit(label)
-
-    def unit_empty(self):
-        return unit_empty()
-
-    def relabel(self, a, f, g):
-        return relabel(a, f, g)
-
-    def evaluate(self, g, args):
-        return flatten(g, args)
-
 
 class EndoWheeledProp(WheeledProp):
     """End of the standard d-dimensional rational space."""
-
-    name = "endo"
 
     def __init__(self, d: int, cap_power: int = endo.DEFAULT_CAP_POWER):
         endo.check_dim(d)
@@ -471,7 +455,7 @@ def axiom_suite(w: WheeledProp, sampler, trials: int = 50, rng=None) -> dict:
         a, b, c = sample_disjoint(rng, 3)
         lhs = w.horizontal(w.horizontal(a, b), c)
         rhs = w.horizontal(a, w.horizontal(b, c))
-        if not w.equal(lhs, rhs):
+        if lhs != rhs:
             return "H1: (a*b)*c != a*(b*c) for %r %r %r" % (a, b, c)
 
     def h2(rng):
@@ -482,19 +466,19 @@ def axiom_suite(w: WheeledProp, sampler, trials: int = 50, rng=None) -> dict:
         fb, gb = _random_bijection(rng, ib), _random_bijection(rng, ob)
         lhs = w.relabel(w.horizontal(a, b), {**fa, **fb}, {**ga, **gb})
         rhs = w.horizontal(w.relabel(a, fa, ga), w.relabel(b, fb, gb))
-        if not w.equal(lhs, rhs):
+        if lhs != rhs:
             return "H2: relabelling does not distribute over *"
 
     def h3(rng):
         a, b = sample_disjoint(rng, 2)
-        if not w.equal(w.horizontal(a, b), w.horizontal(b, a)):
+        if w.horizontal(a, b) != w.horizontal(b, a):
             return "H3: a*b != b*a for %r %r" % (a, b)
 
     def h4(rng):
         a = sampler(rng)
-        if not w.equal(w.horizontal(a, w.unit_empty()), a):
+        if w.horizontal(a, w.unit_empty()) != a:
             return "H4: a*1 != a for %r" % (a,)
-        if not w.equal(w.horizontal(w.unit_empty(), a), a):
+        if w.horizontal(w.unit_empty(), a) != a:
             return "H4: 1*a != a for %r" % (a,)
 
     def pick_pair(rng, x):
@@ -518,7 +502,7 @@ def axiom_suite(w: WheeledProp, sampler, trials: int = 50, rng=None) -> dict:
         f2 = {k: v for k, v in f.items() if k != i}
         g2 = {k: v for k, v in g.items() if k != j}
         rhs = w.relabel(w.contract(a, i, j), f2, g2)
-        if not w.equal(lhs, rhs):
+        if lhs != rhs:
             return "C1: contraction not bi-equivariant at (%r,%r)" % (i, j)
 
     def c2(rng):
@@ -530,7 +514,7 @@ def axiom_suite(w: WheeledProp, sampler, trials: int = 50, rng=None) -> dict:
         j, l = rng.sample(sorted(outs, key=repr), 2)
         lhs = w.contract(w.contract(a, i, j), k, l)
         rhs = w.contract(w.contract(a, k, l), i, j)
-        if not w.equal(lhs, rhs):
+        if lhs != rhs:
             return "C2: contractions at (%r,%r),(%r,%r) do not commute" % (i, j, k, l)
 
     def hc1(rng):
@@ -541,7 +525,7 @@ def axiom_suite(w: WheeledProp, sampler, trials: int = 50, rng=None) -> dict:
         i, j = pair
         lhs = w.contract(w.horizontal(a, b), i, j)
         rhs = w.horizontal(w.contract(a, i, j), b)
-        if not w.equal(lhs, rhs):
+        if lhs != rhs:
             return "HC1: contraction of the a-factor does not commute with *"
 
     def hc2(rng):
@@ -557,7 +541,7 @@ def axiom_suite(w: WheeledProp, sampler, trials: int = 50, rng=None) -> dict:
             f = {k: k for k in ins - {i}}
             f[t] = i
             got = w.relabel(got, f, {k: k for k in outs})
-            if not w.equal(got, a):
+            if got != a:
                 return "HC2: unit not neutral for dioperadic glue at input %r" % (i,)
         if outs:
             j = rng.choice(sorted(outs, key=repr))
@@ -566,7 +550,7 @@ def axiom_suite(w: WheeledProp, sampler, trials: int = 50, rng=None) -> dict:
             g = {k: k for k in outs - {j}}
             g[t] = j
             got = w.relabel(got, {k: k for k in ins}, g)
-            if not w.equal(got, a):
+            if got != a:
                 return "HC2: unit not neutral for dioperadic glue at output %r" % (j,)
 
     for name, check in (("H1", h1), ("H2", h2), ("H3", h3), ("H4", h4),
@@ -592,14 +576,6 @@ def wd_action(w: WheeledProp, d: WiringDiagram, args: Sequence) -> object:
 
 # -- serialization -----------------------------------------------------------
 
-def signature_to_obj(sig: Signature):
-    return {sym: list(nm) for sym, nm in sorted(sig.arities.items())}
-
-
-def signature_from_obj(obj) -> Signature:
-    return Signature({sym: (int(n), int(m)) for sym, (n, m) in obj.items()})
-
-
 def to_obj(a: FreeElement):
     """The element as JSON; terms in the order of their own serialised form,
     so the printed order does not depend on the form of the term keys."""
@@ -613,7 +589,8 @@ def to_obj(a: FreeElement):
             "terms": terms}
 
 
-_ELEMENT = {"in": [None], "out": [None], "terms": [{"decor": [[None, [None], [None]]]}]}
+_ELEMENT = {"in": [None], "out": [None], "terms": [
+    {"coeff": None, "graph": {}, "decor": [[None, [None], [None]]]}]}
 
 
 def from_obj(obj) -> FreeElement:

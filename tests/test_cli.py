@@ -48,6 +48,10 @@ def test_validate_domain_error_exit_1():
         assert msg["error"] == "NonBijectiveMatching"
 
 
+TRUE_LABEL_WD = ('{"output":{"out":[1,true],"in":[2]},"inputs":[],'
+                 '"matching":[[[0,"out",true],[0,"in",2]]],"circles":0}')
+
+
 @pytest.mark.parametrize("kind, text", [
     ("graph", '{"vertices": 5}'),
     ("graph", "[]"),
@@ -75,6 +79,17 @@ def test_validate_domain_error_exit_1():
     ("graph", '{"vertices": [], "delta": [[7, 1]]}'),
     ("element", '{"in": [], "out": [], "terms": [{"graph": {"loops": 1}, "coeff": "1/0"}]}'),
     ("element", '{"in": [], "out": [], "terms": [{"graph": {"loops": 1}, "coeff": 0.1}]}'),
+    # Another format's file, a misspelled key, and labels or boxes that JSON
+    # types other than the format's (``true`` is no label, nor box 1).
+    ("element", '{"vertices": [[0]], "delta": [[0, 1]], "lambda": [[0, "x"]], '
+                '"beta": [[0, "a"]]}'),
+    ("graph", '{"output": {"out": [], "in": []}, "inputs": [], "matching": [], '
+              '"circles": 0}'),
+    ("wd", '{"output": {"out": [], "in": []}, "inputs": [], "matching": [], "circle": 2}'),
+    ("wd", TRUE_LABEL_WD),
+    ("wd", '{"output": {"out": ["a"], "in": ["b"]}, "inputs": [{"out": ["b"], "in": ["a"]}], '
+           '"matching": [[[0, "out", "a"], [true, "in", "a"]], '
+           '[[1, "out", "b"], [0, "in", "b"]]], "circles": 0}'),
 ])
 def test_malformed_input_names_its_error(kind, text, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
@@ -83,6 +98,13 @@ def test_malformed_input_names_its_error(kind, text, monkeypatch, capsys):
     assert not out
     name = json.loads(err)["error"]
     assert issubclass(getattr(errors, name), errors.WirecatError)
+
+
+def test_a_true_label_is_refused_not_read_as_1(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(TRUE_LABEL_WD))
+    assert cli.main(["to-graph", "-"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and json.loads(err)["error"] == "InvalidDiagram"
 
 
 @pytest.mark.parametrize("entry", [0.5, True, "1/0"])
@@ -614,3 +636,11 @@ def test_export_dot(wd_json):
     rc, graph_out, _ = run(["to-graph", "-"], inp=wd_json)
     rc, dot, _ = run(["export-dot", "-"], inp=graph_out)
     assert rc == 0 and dot.startswith("digraph")
+
+
+def test_export_dot_escapes_labels(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        '{"vertices": [[0]], "delta": [[0, 1]], "lambda": [[0, "x"]], '
+        '"beta": [[0, "a\\"b"]]}'))
+    assert cli.main(["export-dot", "-"]) == 0
+    assert '  b1 [shape=none, label="a\\"b"];' in capsys.readouterr().out.splitlines()

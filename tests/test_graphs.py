@@ -276,8 +276,8 @@ def test_loose_key_has_no_size_limit():
 
 
 def test_loose_key_is_the_strict_key_in_its_order():
-    # The loose key reuses the vertex records of one ``_key`` pass; it must
-    # equal the key built afresh in the winning order.
+    # The loose key reuses the vertex records of one ``canonical_form`` pass;
+    # it must equal the strict key of the graph reordered to the winning order.
     rng = random.Random(43)
     cases = []
     for _ in range(150):
@@ -288,7 +288,8 @@ def test_loose_key_is_the_strict_key_in_its_order():
     for g, decor in cases:
         key, order = loose_canonical_form(g, decor, with_order=True)
         order = [v - 1 for v in order]
-        assert key == (graphs._key(g, order), tuple(decor[v] for v in order))
+        assert key == (canonical_form(reorder(g, [v + 1 for v in order])),
+                       tuple(decor[v] for v in order))
 
 
 def test_reorder_rejects_non_permutation():
@@ -394,6 +395,21 @@ def test_to_dot_mentions_all_vertices():
     dot = graphs.to_dot(g)
     assert dot.startswith("digraph")
     assert "v1" in dot and "v2" in dot
+
+
+def test_to_dot_escapes_every_label():
+    g = DirectedGraph([[0, 1], [2]], [3, 4], {1: 2, 2: 1}, {3: 4, 4: 3},
+                      {0: 1, 1: -1, 2: 1, 3: 1, 4: -1},
+                      {0: "a", 1: 'm"', 2: "n\\"},
+                      {0: '"p"', 3: "x\\y", 4: 'y"'}, 0)
+    assert graphs.to_dot(g).splitlines()[3:9] == [
+        '  v1 -> v2 [taillabel="m\\"", headlabel="n\\\\"];',
+        '  b1 [shape=none, label="\\"p\\""];',
+        "  b1 -> v1;",
+        '  e2a [shape=none, label="y\\""];',
+        '  e2b [shape=none, label="x\\\\y"];',
+        "  e2a -> e2b;",
+    ]
 
 
 def test_to_dot_draws_free_edges_and_loops():

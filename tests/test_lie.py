@@ -16,7 +16,6 @@ from wirecat.lie import (
     kappa_matrix,
     killing_eval,
     lie_dim,
-    nf,
     normalize,
     semisimple_witness,
     sl2_bracket,
@@ -69,7 +68,7 @@ def subtrees_replaced(t):
 
 def tree_quotient_dim(n):
     """Dimension of the span of all bracketings modulo node-local
-    antisymmetry and Jacobi relation instances (independent of nf)."""
+    antisymmetry and Jacobi relation instances (independent of normalize)."""
     trees = [t for perm in itertools.permutations(range(1, n + 1))
              for t in all_trees(perm)]
     keys = set(trees)
@@ -102,10 +101,10 @@ def tree_quotient_dim(n):
 # -- normal forms -------------------------------------------------------------
 
 def test_nf_base_cases():
-    assert nf(1) == {(1,): 1}
-    assert nf((1, 2)) == {(1, 2): 1}
-    assert nf((2, 1)) == {(1, 2): -1}
-    assert nf(((1, 2), 3)) == {(1, 2, 3): 1, (2, 1, 3): -1}
+    assert normalize(1) == {(1,): 1}
+    assert normalize((1, 2)) == {(1, 2): 1}
+    assert normalize((2, 1)) == {(1, 2): -1}
+    assert normalize(((1, 2), 3)) == {(1, 2, 3): 1, (2, 1, 3): -1}
 
 
 def test_nf_antisymmetry_and_jacobi():
@@ -119,15 +118,15 @@ def test_nf_antisymmetry_and_jacobi():
                                    if not isinstance(p[0], int)])
         l, r = sub
         # antisymmetry
-        lhs = nf(rebuild((l, r)))
-        rhs = {w: -c for w, c in nf(rebuild((r, l))).items()}
+        lhs = normalize(rebuild((l, r)))
+        rhs = {w: -c for w, c in normalize(rebuild((r, l))).items()}
         assert lhs == rhs
         # Jacobi
         if not isinstance(l, int):
             x, y = l
-            total = dict(nf(rebuild(((x, y), r))))
+            total = dict(normalize(rebuild(((x, y), r))))
             for tt, c in (((x, (y, r)), -1), ((y, (x, r)), 1)):
-                for w, cc in nf(rebuild(tt)).items():
+                for w, cc in normalize(rebuild(tt)).items():
                     total[w] = total.get(w, Fraction(0)) + c * cc
             assert all(v == 0 for v in total.values())
 
@@ -142,12 +141,12 @@ def test_normalize_combination_and_multilinearity():
 
 def test_nf_and_normalize_values_are_fractions():
     t = (((1, 3), 2), (4, 5))
-    for coords in (nf(t), normalize(t), normalize({t: 2, (5, (1, 2)): 1}),
+    for coords in (normalize(t), normalize(t), normalize({t: 2, (5, (1, 2)): 1}),
                    normalize({t: Fraction(1, 3)})):
         assert coords
         assert all(type(c) is Fraction for c in coords.values())
     assert normalize({t: Fraction(1, 3)}) == {
-        w: c / 3 for w, c in nf(t).items()}
+        w: c / 3 for w, c in normalize(t).items()}
 
 
 def test_nf_lands_in_right_normed_basis():
@@ -158,7 +157,7 @@ def test_nf_lands_in_right_normed_basis():
         rng.shuffle(perm)
         t = rng.choice(all_trees(perm))
         words = set(basis_words(n))
-        assert set(nf(t)) <= words
+        assert set(normalize(t)) <= words
 
 
 def test_lie_dim_factorial_and_oracle():
@@ -178,7 +177,7 @@ def test_nf_is_antisymmetric_at_the_root():
         perm = list(range(1, n + 1))
         rng.shuffle(perm)
         l, r = rng.choice(all_trees(perm))
-        assert nf((l, r)) == {w: -c for w, c in nf((r, l)).items()}
+        assert normalize((l, r)) == {w: -c for w, c in normalize((r, l)).items()}
 
 
 def test_lie_dim_is_the_rank_of_every_bracketing():
@@ -186,7 +185,7 @@ def test_lie_dim_is_the_rank_of_every_bracketing():
         elim = Eliminator()
         for perm in itertools.permutations(range(1, n + 1)):
             for t in all_trees(perm):
-                elim.add(nf(t))
+                elim.add(normalize(t))
         assert lie_dim(n) == elim.rank, n
 
 
@@ -249,19 +248,19 @@ def relabel(t, f):
 
 def permuted(row, sigma):
     """The copy of a relation row under sigma on the letters 1..n, built from
-    ``nf``; the traced letter n+1 stays put."""
+    ``normalize``; the traced letter n+1 stays put."""
     n = len(sigma)
     f = dict(zip(range(1, n + 2), sigma + (n + 1,)))
     out = {}
     for w, c in row.items():
-        for w2, c2 in nf(relabel(word_to_tree(w), f)).items():
+        for w2, c2 in normalize(relabel(word_to_tree(w), f)).items():
             out[w2] = out.get(w2, 0) + c * c2
     return {w: c for w, c in out.items() if c}
 
 
 def full_closure(n):
     """An eliminator over every relation row under all n! permutations of the
-    letters 1..n (the traced letter n+1 stays put), built from ``nf``."""
+    letters 1..n (the traced letter n+1 stays put), built from ``normalize``."""
     elim = Eliminator()
     for n1 in range(0, n + 1):
         m1 = n - n1
@@ -305,6 +304,23 @@ def test_relation_rows_are_closed_under_the_block_shuffles():
             want = [r for r in want if r]
             assert len(want) == math.comb(n, n1) or not row, (n, n1)
             assert list(TraceSpace._closed(row, n, n1)) == want, (n, n1)
+
+
+def test_relation_rows_are_rotations_of_words():
+    # The premise of TraceSpace's generating rows: for basis words p and q the
+    # relation row is e_{uv.(n+1)} - e_{vu.(n+1)}, u = p[:-1] and v = q[:-1]
+    # shifted by n1; TraceSpace offers one rotation row per word of 1..n.
+    for n in range(2, 7):
+        for n1 in range(1, n):
+            for p in basis_words(n1 + 1):
+                for q in basis_words(n - n1 + 1):
+                    u, v = p[:-1], tuple(a + n1 for a in q[:-1])
+                    row = lie._relation_row(word_to_tree(p), word_to_tree(q),
+                                            n1, n - n1)
+                    assert row == {u + v + (n + 1,): 1,
+                                   v + u + (n + 1,): -1}, (p, q)
+        ts = TraceSpace(n)
+        assert len(list(ts._relation_instances(n))) == math.factorial(n)
 
 
 def test_trace_reduce_kills_permutation_relations():

@@ -10,6 +10,7 @@ from wirecat import endo, translate, wprop
 from wirecat.errors import (
     ArityMismatch,
     BoundaryMismatch,
+    InvalidTensor,
     LabelClash,
     NotABijection,
     WirecatError,
@@ -179,8 +180,6 @@ def test_axiom_suite_endo():
 class BrokenEndo(EndoWheeledProp):
     """Mutant: contraction picks the wrong out-axis."""
 
-    name = "broken-endo"
-
     def contract(self, a, i, j):
         outs = sorted((l for p, l in a.axes if p == OUT), key=repr)
         if len(outs) > 1:
@@ -201,8 +200,6 @@ def test_broken_contraction_fails_with_witness():
 
 class BrokenFree(FreeWheeledProp):
     """Mutant: contraction glues to the wrong out-label, as in ``BrokenEndo``."""
-
-    name = "broken-free"
 
     def contract(self, a, i, j):
         outs = sorted(a.out_labels, key=repr)
@@ -286,9 +283,19 @@ def test_json_roundtrip():
         assert wprop.to_json(wprop.from_json(s)) == s
 
 
-def test_signature_roundtrip():
-    obj = wprop.signature_to_obj(SIG)
-    assert wprop.signature_from_obj(obj).arities == SIG.arities
+@pytest.mark.parametrize("coeff", [0.1, 0.5, True, False])
+def test_free_coefficients_are_exact_only(coeff):
+    # As for tensor entries: a float is not the rational it prints as, and a
+    # boolean is no number.
+    e = eta(SIG, "f", ("a", "b"), ("c",))
+    [(_, g, decor)] = e.terms.values()
+    with pytest.raises(InvalidTensor):
+        e.scale(coeff)
+    with pytest.raises(InvalidTensor):
+        FreeElement(("a", "b"), ("c",), [(coeff, g, decor)])
+    with pytest.raises(InvalidTensor):
+        endo.scalar_tensor(1).scale(coeff)
+    assert e.scale(Fraction(1, 10)).scale(10) == e.scale("1") == e
 
 
 # sha256 over ``wprop.to_json`` of the results of each operation below on
