@@ -24,7 +24,7 @@ from .errors import (
     InvalidGraph,
     UnknownVertex,
 )
-from .wiring import all_fit, resolve_strands
+from .wiring import _LABEL, all_fit, resolve_strands
 
 
 class DirectedGraph:
@@ -449,8 +449,9 @@ def to_obj(g: DirectedGraph):
 
 
 _PAIRS = [[None, None]]
+_LABELS = [[None, _LABEL]]
 _GRAPH = {"vertices": [[None]], "exceptional": [None], "iota": _PAIRS,
-          "pi": _PAIRS, "delta": _PAIRS, "lambda": _PAIRS, "beta": _PAIRS,
+          "pi": _PAIRS, "delta": _PAIRS, "lambda": _LABELS, "beta": _LABELS,
           "loops": (int,), "loop_flags": (int,)}
 
 

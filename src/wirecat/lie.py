@@ -9,9 +9,9 @@ Rewriting uses antisymmetry and the Jacobi identity and always terminates.
 with its last input.  The space of trace symbols in ``n`` letters is the
 span of ``t`` over the basis of the (n+1)-letter Lie space, modulo the cyclic
 relation t(p composed-at-last q) = beta t(q composed-at-last p) closed under
-letter permutations; the quotient basis is computed by exact elimination.
-On right-normed basis words (Reutenauer, *Free Lie Algebras*, 1993) the
-relation is the rotation uv ~ vu of the letters before the traced one.
+letter permutations.  On right-normed basis words (Reutenauer, *Free Lie
+Algebras*, 1993) the relation is the rotation uv ~ vu of the letters before
+the traced one, so the quotient basis is one word per rotation orbit.
 
 The multilinear Lie space is spanned by one bracketing per antisymmetry
 class, the one with each node's largest letter in its right factor:
@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import endo, wprop
 from .errors import BoundExceeded, NotMultilinear
 
-DEFAULT_LIE_BOUND = 6
+DEFAULT_LIE_BOUND = 7
 
 Word = Tuple[int, ...]
 
@@ -281,6 +281,18 @@ class TraceSpace:
     ``symbols`` lists the ambient t-basis (basis words of the (n+1)-letter
     Lie space); ``basis`` the representatives surviving the quotient;
     ``reduce`` rewrites any coordinate vector into the quotient basis.
+
+    The relation space is spanned by e_{w.(n+1)} - e_{rot(w).(n+1)} over the
+    words w of 1..n, rot moving the first letter to the end: for basis words
+    p = u.(n1+1) and q = v.(m1+1) both composites in ``_relation_row`` are
+    right-normed with n+1 innermost, so its row is e_{uv'.(n+1)} -
+    e_{v'u.(n+1)}, v' being v shifted by n1; letter permutations fixing n+1
+    keep basis words basis; and e_{xy.(n+1)} - e_{yx.(n+1)} is the sum of the
+    rows of xy, rot(xy), ..., rot^(|x|-1)(xy).  ``_rep`` maps each symbol to
+    its rotation of largest ``repr``, which elimination pivoting on the
+    smallest ``repr`` leaves unpivoted.  ``extra_instances`` random relation
+    rows are folded through ``_rep``, and any residue goes into an eliminator
+    whose pivots leave ``basis``.
     """
 
     def __init__(self, n: int, bound: Optional[int] = None,
@@ -290,12 +302,23 @@ class TraceSpace:
             raise BoundExceeded("n=%d outside 0..%d" % (n, limit))
         self.n = n
         self.symbols = basis_words(n + 1)
-        self._elim = Eliminator()
-        for row in self._relation_instances(n):
-            self._elim.add(row)
-        for row in self._random_instances(n, extra_instances, rng):
-            self._elim.add(row)
-        self.basis = [w for w in self.symbols if w not in self._elim.pivots]
+        self._rep: Dict[Word, Word] = {}
+        for w in self.symbols:
+            if w not in self._rep:  # k = n repeats w, so n = 0 has an orbit
+                orbit = [w[k:-1] + w[:k] + w[-1:] for k in range(len(w))]
+                self._rep.update(dict.fromkeys(orbit, max(orbit, key=repr)))
+        self._residues = Eliminator()
+        if extra_instances:
+            rng = rng or random.Random(0)
+            trees = [all_trees(range(1, k + 2)) for k in range(n + 1)]
+            for _ in range(extra_instances):
+                n1 = rng.randint(0, n)
+                row = _relation_row(rng.choice(trees[n1]),
+                                    rng.choice(trees[n - n1]), n1, n - n1)
+                for copy in self._closed(row, n, n1):
+                    self._residues.add(self.reduce(copy))
+        self.basis = [w for w in self.symbols if self._rep[w] == w
+                      and w not in self._residues.pivots]
         self.dim = len(self.basis)
 
     @staticmethod
@@ -310,32 +333,12 @@ class TraceSpace:
             table = (0,) + first + second + (n + 1,)
             yield {tuple(table[a] for a in w): c for w, c in row.items()}
 
-    def _relation_instances(self, n):
-        """One row e_{w.(n+1)} - e_{rot(w).(n+1)} per word w of 1..n (rot
-        moves the first letter to the end); none for n < 2.  They span the
-        relation space.  For basis words p = u.(n1+1) and q = v.(m1+1), both
-        composites in ``_relation_row`` are right-normed with n+1 innermost,
-        so its row is e_{uv'.(n+1)} - e_{v'u.(n+1)}, v' being v shifted by n1.
-        Letter permutations fixing n+1 map basis words to basis words, so the
-        closure is spanned by e_{xy.(n+1)} - e_{yx.(n+1)} over the words xy of
-        1..n, x and y nonempty: for w = xy, the sum of the rows here of w,
-        rot(w), ..., rot^(|x|-1)(w)."""
-        if n >= 2:
-            for w in self.symbols:
-                yield {w: 1, w[1:-1] + w[:1] + w[-1:]: -1}
-
-    def _random_instances(self, n, count, rng):
-        rng = rng or random.Random(0)
-        for _ in range(count):
-            n1 = rng.randint(0, n)
-            m1 = n - n1
-            p = rng.choice(all_trees(list(range(1, n1 + 2))))
-            q = rng.choice(all_trees(list(range(1, m1 + 2))))
-            yield from self._closed(_relation_row(p, q, n1, m1), n, n1)
-
     def reduce(self, coords: Dict[Word, Fraction]) -> Dict[Word, Fraction]:
         """Quotient-basis coordinates of a t-symbol combination."""
-        return self._elim.reduce(coords)
+        folded: Dict[Word, Fraction] = {}
+        for w, c in coords.items():
+            folded[self._rep[w]] = folded.get(self._rep[w], 0) + c
+        return self._residues.reduce(folded)
 
 
 # -- Killing forms ------------------------------------------------------------
@@ -389,15 +392,9 @@ def semisimple_witness(bracket, d: int) -> dict:
           for j in range(d)] for i in range(d)]
     antisym = all(B[i][j][k] == -B[j][i][k]
                   for i in range(d) for j in range(d) for k in range(d))
-    jacobi = True
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                for l in range(d):
-                    s = sum(B[i][j][m] * B[m][k][l] + B[j][k][m] * B[m][i][l]
-                            + B[k][i][m] * B[m][j][l] for m in range(d))
-                    if s != 0:
-                        jacobi = False
+    jacobi = all(sum(B[i][j][m] * B[m][k][l] + B[j][k][m] * B[m][i][l]
+                     + B[k][i][m] * B[m][j][l] for m in range(d)) == 0
+                 for i, j, k, l in itertools.product(range(d), repeat=4))
     nondegenerate = matrix_rank(kappa_matrix(B, d)) == d
     return {
         "antisymmetry": antisym,

@@ -44,7 +44,7 @@ from .graphs import (
     substitute_all,
 )
 from .translate import wd_to_graph
-from .wiring import IN, OUT, WiringDiagram, all_fit, resolve_strands
+from .wiring import _LABEL, IN, OUT, WiringDiagram, all_fit, resolve_strands
 
 #: A vertex decoration: (generator symbol, in-labels in slot order, out-labels
 #: in slot order).  The label tuples fix how the vertex's flags fill the
@@ -589,7 +589,7 @@ def to_obj(a: FreeElement):
             "terms": terms}
 
 
-_ELEMENT = {"in": [None], "out": [None], "terms": [
+_ELEMENT = {"in": [_LABEL], "out": [_LABEL], "terms": [
     {"coeff": None, "graph": {}, "decor": [[None, [None], [None]]]}]}
 
 

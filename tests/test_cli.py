@@ -107,6 +107,28 @@ def test_a_true_label_is_refused_not_read_as_1(monkeypatch, capsys):
     assert not out and json.loads(err)["error"] == "InvalidDiagram"
 
 
+@pytest.mark.parametrize("label", ["true", "1.5"])
+@pytest.mark.parametrize("key", ["beta", "lambda"])
+def test_to_wd_refuses_a_label_the_wd_loader_would(key, label, monkeypatch, capsys):
+    # Graph labels become diagram labels, so they are typed alike.
+    labels = {"lambda": '"x"', "beta": '"a"', key: label}
+    text = ('{"vertices": [[0]], "delta": [[0, 1]], "lambda": [[0, %s]], '
+            '"beta": [[0, %s]]}' % (labels["lambda"], labels["beta"]))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert cli.main(["to-wd", "-"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and json.loads(err)["error"] == "InvalidGraph"
+
+
+@pytest.mark.parametrize("label", ["true", "1.5"])
+def test_element_boundary_labels_are_typed(label, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        '{"in": [%s], "out": [], "terms": []}' % label))
+    assert cli.main(["validate", "--type", "element", "-"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and json.loads(err)["error"] == "InvalidGraph"
+
+
 @pytest.mark.parametrize("entry", [0.5, True, "1/0"])
 def test_bindings_and_brackets_must_be_exact(entry, tmp_path, capsys):
     [(_, g, decor)] = list(lie.kappa_element(2).terms.values())
@@ -370,6 +392,7 @@ CLI_GOLDENS = {
     ('lie-dim', '4'): '{"dim":6,"n":4}\n',
     ('lie-dim', '5'): '{"dim":24,"n":5}\n',
     ('lie-dim', '6'): '{"dim":120,"n":6}\n',
+    ('lie-dim', '7'): '{"dim":720,"n":7}\n',
 }
 
 
@@ -377,6 +400,20 @@ CLI_GOLDENS = {
 def test_lie_and_trace_dim_goldens(args, capsys):
     assert cli.main(list(args)) == 0
     assert capsys.readouterr().out == CLI_GOLDENS[args]
+
+
+# sha256 of the standard output of the larger `wirecat trace-dim n` calls.
+TRACE_DIGESTS = {
+    ('trace-dim', '6'): 'e680f4b53ae3fdc2e76d75c6a882d2281329188e4bac994fafc693cab2240446',
+    ('trace-dim', '7'): '8b5b0dbb73734c0026dab1728b12f9175efbcb17ab5456a55d5d6ed0ad137ad1',
+}
+
+
+@pytest.mark.parametrize("args", list(TRACE_DIGESTS), ids="-".join)
+def test_trace_dim_digests(args, capsys):
+    assert cli.main(list(args)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TRACE_DIGESTS[args]
 
 
 # sha256 of the standard output of ten seeded calls (seeds 0..9) of each

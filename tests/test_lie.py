@@ -211,8 +211,9 @@ def test_lie_dim_offers_one_bracketing_per_antisymmetry_class():
 
 
 def test_lie_dim_bound():
+    assert lie_dim(7) == 720
     with pytest.raises(BoundExceeded):
-        lie_dim(7)
+        lie_dim(8)
     with pytest.raises(BoundExceeded):
         lie_dim(0)
 
@@ -228,8 +229,9 @@ def test_trace_space_small_dims():
 
 
 def test_trace_space_bound():
+    assert TraceSpace(7).dim == 720
     with pytest.raises(BoundExceeded):
-        TraceSpace(7)
+        TraceSpace(8)
 
 
 def test_trace_space_stable_under_instance_doubling():
@@ -277,7 +279,7 @@ def test_trace_space_matches_the_full_permutation_closure():
     for n in range(0, 6):
         ts = TraceSpace(n)
         ref = full_closure(n)
-        assert set(ts._elim.pivots) == set(ref.pivots), n
+        assert set(ts.symbols) - set(ts.basis) == set(ref.pivots), n
         assert ts.basis == [w for w in ts.symbols if w not in ref.pivots]
         inputs = [{w: Fraction(1)} for w in ts.symbols]
         for _ in range(40):
@@ -319,8 +321,32 @@ def test_relation_rows_are_rotations_of_words():
                                             n1, n - n1)
                     assert row == {u + v + (n + 1,): 1,
                                    v + u + (n + 1,): -1}, (p, q)
+        # TraceSpace identifies each symbol with its rotations and no more:
+        # every representative is a rotation, one per orbit of n rotations.
         ts = TraceSpace(n)
-        assert len(list(ts._relation_instances(n))) == math.factorial(n)
+        for w in ts.symbols:
+            r = ts._rep[w]
+            assert r[-1] == n + 1 and r[:-1] in (w[k:-1] + w[:k] for k in range(n))
+        assert len(set(ts._rep.values())) == math.factorial(n - 1)
+
+
+RELATION_ROW = lie._relation_row
+
+
+def no_relation_row(*args):
+    """A relation row with its negative terms dropped, so no relation."""
+    return {w: c for w, c in RELATION_ROW(*args).items() if c > 0}
+
+
+def test_extra_instances_catch_a_row_that_is_no_relation(monkeypatch):
+    # Random relation rows are a check of the rotation quotient: a row
+    # outside the relation space leaves a residue that removes a symbol.
+    monkeypatch.setattr(lie, "_relation_row", no_relation_row)
+    for n in range(2, 6):
+        base = TraceSpace(n)
+        more = TraceSpace(n, extra_instances=10, rng=random.Random(69))
+        assert set(more.basis) < set(base.basis), n
+        assert more.dim == len(more.basis) < base.dim
 
 
 def test_trace_reduce_kills_permutation_relations():
@@ -469,7 +495,7 @@ def stirling1(n, k):
 def test_wheeled_dim_counts_permutations_by_cycles():
     # Word and trace blocks of size k both contribute (k-1)!, so the total
     # counts permutations of n+1 points with m+1 cycles, word blocks ordered.
-    for n in range(0, 7):
+    for n in range(0, 8):
         for m in range(0, n + 1):
             want = math.factorial(m) * stirling1(n + 1, m + 1)
             assert wheeled_dim(n, m) == want, (n, m)
@@ -520,14 +546,20 @@ def test_saturation_skips_rows_inside_a_full_span():
 
 
 def test_saturation_leaves_rank_and_pivots_unchanged(monkeypatch):
-    fast = {n: TraceSpace(n) for n in range(0, 5)}
+    # TraceSpace eliminates only residues, which valid relation rows never
+    # leave; rows that are no relations give it some to eliminate.
+    monkeypatch.setattr(lie, "_relation_row", no_relation_row)
+    fast = {n: TraceSpace(n, extra_instances=20, rng=random.Random(70))
+            for n in range(0, 5)}
     ranks = {n: lie_dim(n) for n in range(1, 6)}
     monkeypatch.setattr(lie, "Eliminator", PlainEliminator)
     for n in range(0, 5):
-        plain = TraceSpace(n)
-        assert isinstance(plain._elim, PlainEliminator)
+        plain = TraceSpace(n, extra_instances=20, rng=random.Random(70))
+        assert isinstance(plain._residues, PlainEliminator)
         assert plain.basis == fast[n].basis
-        assert list(plain._elim.pivots.items()) == \
-            list(fast[n]._elim.pivots.items())
+        assert list(plain._residues.pivots.items()) == \
+            list(fast[n]._residues.pivots.items())
+    # Saturated at n = 4: the rows after the sixth pivot skip reduction.
+    assert fast[4].dim == 0 < fast[4]._residues.rank
     for n in range(1, 6):
         assert lie_dim(n) == ranks[n]
