@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wirecat import lie
@@ -158,6 +160,74 @@ def test_nf_lands_in_right_normed_basis():
         t = rng.choice(all_trees(perm))
         words = set(basis_words(n))
         assert set(normalize(t)) <= words
+
+
+def nf_cases(kind, n):
+    """The bracketings ``NF_GOLDENS`` pins: every ``_sorted_trees`` tree of
+    1..n, or 300 trees of ``all_trees`` over seeded shuffles of 1..n."""
+    if kind == "sorted":
+        return list(lie._sorted_trees(tuple(range(1, n + 1))))
+    rng = random.Random(1000 + n)
+    out = []
+    for _ in range(300):
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        out.append(rng.choice(all_trees(perm)))
+    return out
+
+
+# sha256 of ``normalize`` of each bracketing of ``nf_cases``, one line of
+# sorted items per tree.  Any change in a coefficient, a sign or a word shows.
+NF_GOLDENS = {
+    ("sorted", 1): "04a3dd2ac4bc9e28e4039b278944535cd2932d412c1e6aba4898888f470138a1",
+    ("sorted", 2): "9b386e722c1e420b19623fd8de72290d598cdd56f7304c1b87728307fd7f0947",
+    ("sorted", 3): "aab4a70c0701dcc1ec61ead9c759bdd1c2869f9a27f715303d980ff77c49312c",
+    ("sorted", 4): "62ff9f25804e90238263cf1c1548cfb25c129ad523689bc3f5c8513b2575e350",
+    ("sorted", 5): "02817285bac08d5fab58bd7d23e2f2c5a11394a130d96aba73817b1b8e230e63",
+    ("sorted", 6): "abec5b09d95af072377efa951a79f63cc1c3a1c7f1553819be03c4a34f79589f",
+    ("shuffled", 1): "452384e5af0bce1bac597485a0e0932bb1c92eb06ba820048c6fd14c9078b8a9",
+    ("shuffled", 2): "00ad4e84caa8e1ee07bcbb0a271aa58e77d34e74b2deb06a4cf7396d9876949e",
+    ("shuffled", 3): "e188953e4a8624b6117f3797065708fe9918f5c1353aa9aff4c1c3e198ad757a",
+    ("shuffled", 4): "02cad50ee354470908514e523cf00352a14f77ce68bd170a8bf5abdf5bae768a",
+    ("shuffled", 5): "9203c302106da86064c13ba7c76982205d25c362786901f79398205166d61f37",
+    ("shuffled", 6): "0f7d37d97019bea609b359be862a357bdc32e77f9e3d289aa75e444ebc8cd5f1",
+    ("shuffled", 7): "7c1554e8cdb6c0fb43b9d719bdc27d064020d1e56023d92f05931c605d77bcb8",
+}
+
+
+@pytest.mark.parametrize("kind,n", list(NF_GOLDENS))
+def test_normalize_goldens(kind, n):
+    digest = hashlib.sha256()
+    for t in nf_cases(kind, n):
+        digest.update((repr(sorted(normalize(t).items())) + "\n").encode())
+    assert digest.hexdigest() == NF_GOLDENS[kind, n]
+
+
+def commutator_eval(t, mats):
+    """A bracket tree evaluated in a matrix Lie algebra, [x, y] = xy - yx."""
+    if isinstance(t, int):
+        return mats[t]
+    x, y = commutator_eval(t[0], mats), commutator_eval(t[1], mats)
+    return x.dot(y) - y.dot(x)
+
+
+def test_normalize_agrees_in_a_matrix_representation():
+    # Letters go to random integer 4x4 matrices with exact entries; a tree
+    # and its normal form, read back as right-normed trees, must agree.
+    rng = random.Random(71)
+    for n in range(1, 8):
+        for _ in range(20):
+            mats = {a: np.array([[rng.randint(-3, 3) for _ in range(4)]
+                                 for _ in range(4)], dtype=object)
+                    for a in range(1, n + 1)}
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            t = rng.choice(all_trees(perm))
+            want = commutator_eval(t, mats)
+            got = np.zeros((4, 4), dtype=object)
+            for w, c in normalize(t).items():
+                got = got + c * commutator_eval(word_to_tree(w), mats)
+            assert got.tolist() == want.tolist(), t
 
 
 def test_lie_dim_factorial_and_oracle():
