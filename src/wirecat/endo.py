@@ -24,7 +24,7 @@ from .errors import (
     UnknownAxis,
 )
 from .graphs import DirectedGraph
-from .wiring import IN, OUT, all_fit
+from .wiring import _LABEL, IN, OUT, all_fit
 
 DEFAULT_CAP_POWER = 12
 
@@ -157,7 +157,7 @@ def tensor_product(s: Tensor, t: Tensor, cap_power: int = DEFAULT_CAP_POWER) -> 
         raise DimMismatch("dims %d and %d" % (s.dim, t.dim))
     clash = set(s.axes) & set(t.axes)
     if clash:
-        raise LabelClash("shared axes %r" % sorted(clash))
+        raise LabelClash("shared axes %r" % sorted(clash, key=repr))
     if len(s.axes) + len(t.axes) > cap_power:
         raise SizeCapExceeded("%d axes exceeds cap of %d"
                               % (len(s.axes) + len(t.axes), cap_power))
@@ -248,7 +248,7 @@ def to_obj(t: Tensor):
     }
 
 
-_TENSOR = {"dim": (int,), "axes": [[{IN, OUT}, (str, int)]], "data": [None]}
+_TENSOR = {"dim": (int,), "axes": [[{IN, OUT}, _LABEL]], "data": [None]}
 
 
 def from_obj(obj) -> Tensor:

@@ -24,7 +24,7 @@ from .errors import (
     InvalidGraph,
     UnknownVertex,
 )
-from .wiring import _LABEL, all_fit, resolve_strands
+from .wiring import _LABEL, all_fit, label_key, resolve_strands
 
 
 class DirectedGraph:
@@ -324,7 +324,7 @@ def corolla(in_labels: Iterable[str], out_labels: Iterable[str]) -> DirectedGrap
     """A one-vertex graph with only boundary legs, each labelled as its flag."""
     delta, lam = {}, {}
     for sign, labels in ((1, in_labels), (-1, out_labels)):
-        for a in sorted(labels):
+        for a in sorted(labels, key=label_key):
             n = len(lam)
             delta[n], lam[n] = sign, a
     return DirectedGraph([list(lam)], (), {}, {}, delta, lam, lam, 0)

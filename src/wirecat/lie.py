@@ -3,7 +3,9 @@
 Lie words are binary bracket trees with each letter used once.  The normal
 form is right-normed with the largest letter innermost: basis words are
 tuples ``(a_1, ..., a_{k-1}, max)`` read as [a_1,[a_2,[...,[a_{k-1}, max]]]].
-Rewriting uses antisymmetry and the Jacobi identity and always terminates.
+A Lie element's coordinates are read off its associative expansion
+[x, y] = xy - yx: they are the coefficients of the words that end in its
+largest letter.
 
 ``t(p)`` denotes the trace symbol of a Lie word ``p``: its output identified
 with its last input.  The space of trace symbols in ``n`` letters is the
@@ -24,9 +26,9 @@ products of adjoint matrices.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import endo, wprop
@@ -116,59 +118,39 @@ def _check_multilinear(t):
         raise NotMultilinear("letters %r repeat" % (sorted(letters),))
 
 
-def _combine(terms_a, bracket_with):
-    out: Dict[Word, int] = {}
-    for w, c in terms_a:
-        for w2, c2 in bracket_with(w):
-            out[w2] = out.get(w2, 0) + c * c2
-    return tuple(sorted((w, c) for w, c in out.items() if c))
-
-
-@lru_cache(maxsize=None)
-def _bw(u: Word, v: Word):
-    """Normal form of the bracket [u, v] of two basis words.
-
-    The recursion keeps the overall largest letter in the right argument
-    (flipping by antisymmetry once if needed) and shrinks the left word by
-    the Jacobi identity, so it terminates and every output word is basis.
-    Coefficients are integers: both rules only add and negate.
-    """
-    if len(u) == 1 and len(v) == 1:
-        a, b = u[0], v[0]
-        if a == b:
-            return ()
-        return (((a, b), 1),) if a < b else (((b, a), -1),)
-    if u[-1] > v[-1]:
-        return tuple((w, -c) for w, c in _bw(v, u))
-    if len(u) == 1:
-        return (((u[0],) + v, 1),)
-    # [u, v] = [u1,[U,v]] - [U,[u1,v]] with u = [u1, U]
-    u1, rest = u[0], u[1:]
-    t1 = _combine(_bw(rest, v), lambda w: _bw((u1,), w))
-    t2 = _combine(_bw((u1,), v), lambda w: _bw(rest, w))
-    return _merge(t1, tuple((w, -c) for w, c in t2))
-
-
-def _merge(a, b):
-    out = dict(a)
-    for w, c in b:
-        out[w] = out.get(w, 0) + c
-    return tuple(sorted((w, c) for w, c in out.items() if c))
-
-
-def _nf(t) -> Dict[Word, int]:
-    """Normal-form coordinates of a bracket tree, with int coefficients."""
+def _expand(t) -> Dict[Word, int]:
+    """The associative expansion of a bracket tree, [x, y] = xy - yx; the
+    letters are distinct, so no two words of it coincide."""
     if isinstance(t, int):
         return {(t,): 1}
     l, r = t
-    right = _nf(r).items()
+    right = _expand(r).items()
     out: Dict[Word, int] = {}
-    for wl, cl in _nf(l).items():
-        for wr, cr in right:
-            c = cl * cr
-            for w, cc in _bw(wl, wr):
-                out[w] = out.get(w, 0) + c * cc
-    return {w: c for w, c in out.items() if c}
+    for u, a in _expand(l).items():
+        for v, b in right:
+            out[u + v], out[v + u] = a * b, -a * b
+    return out
+
+
+def _nf(t) -> Dict[Word, int]:
+    """Normal-form coordinates of a bracket tree, with int coefficients.
+
+    A basis word [a_1,[...,[a_{k-1}, max]]] expands to exactly one word that
+    ends in max, itself, so the coordinates of a Lie element are its
+    expansion's coefficients on the words ending in its largest letter.  For
+    [l, r] with that letter in r they are the words u.v, u from the expansion
+    of l and v from the normal form of r, as every word of r.l ends in a
+    letter of l.  With the letter in l, [l, r] = -[r, l].
+    """
+    if isinstance(t, int):
+        return {(t,): 1}
+    l, r = t
+    sign = 1
+    if max(tree_letters(l)) > max(tree_letters(r)):
+        l, r, sign = r, l, -1
+    right = _nf(r).items()
+    return {u + v: sign * a * b
+            for u, a in _expand(l).items() for v, b in right}
 
 
 def normalize(trees) -> Dict[Word, Fraction]:
@@ -433,47 +415,35 @@ def solvable2_bracket():
 
 # -- dimension calculator for the two-sided spaces ---------------------------
 
-def _set_partitions(items):
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for k in range(len(part)):
-            yield part[:k] + [[first] + part[k]] + part[k + 1:]
-        yield [[first]] + part
-
-
 def wheeled_dim(n: int, m: int) -> int:
     """Dimension of the two-sided space with n inputs and m outputs.
 
-    Sums over splittings of the n letters into m nonempty ordered word
-    blocks and any number of nonempty unordered trace blocks, multiplying
-    word-space and trace-space dimensions.
+    The n letters split into m nonempty ordered word blocks and any number of
+    nonempty unordered trace blocks; a splitting counts the product of its
+    word-space and trace-space dimensions.  Count D(n, m) by the block that
+    holds the letter 1, of size k, its other letters chosen in C(n-1, k-1)
+    ways: as one of the m word blocks it gives m * lie_dim(k) * D(n-k, m-1),
+    as a trace block TraceSpace(k).dim * D(n-k, m); D(0, m) is 1 if m = 0,
+    else 0.  Every D(i, j) reached has i - j <= n - m, so a word block has at
+    most n-m+1 letters and a trace block at most n-m.
     """
-    lie_dims = {}
-    trace_dims = {}
-    total = 0
-    letters = list(range(1, n + 1))
-    for part in _set_partitions(letters):
-        blocks = sorted(part, key=lambda b: sorted(b))
-        if len(blocks) < m:
-            continue
-        # Choose which m blocks are word blocks (ordered assignment).
-        for word_blocks in itertools.permutations(range(len(blocks)), m):
-            trace_blocks = [blocks[k] for k in range(len(blocks))
-                            if k not in word_blocks]
-            prod = 1
-            for k in word_blocks:
-                nb = len(blocks[k])
-                if nb not in lie_dims:
-                    lie_dims[nb] = lie_dim(nb)
-                prod *= lie_dims[nb]
-            for b in trace_blocks:
-                nb = len(b)
-                if nb not in trace_dims:
-                    trace_dims[nb] = TraceSpace(nb).dim
-                prod *= trace_dims[nb]
-            total += prod
-    return total
+    if n < 0 or m < 0:
+        raise BoundExceeded("n=%d, m=%d: the counts must be >= 0" % (n, m))
+    # Largest first, so that a size past the bound is the one reported.
+    lie_dims = {k: lie_dim(k) for k in range(n - m + 1, 0, -1)} if m else {}
+    trace_dims = {k: TraceSpace(k).dim for k in range(n - m, 0, -1)}
+    counts = {(0, 0): 1}
+
+    def count(i, j):
+        if (i, j) not in counts:
+            total = 0
+            for k in range(1, i - j + 2):
+                ways = math.comb(i - 1, k - 1)
+                if j:
+                    total += ways * j * lie_dims[k] * count(i - k, j - 1)
+                if k <= i - j:
+                    total += ways * trace_dims[k] * count(i - k, j)
+            counts[i, j] = total
+        return counts[i, j]
+
+    return count(n, m)

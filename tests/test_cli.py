@@ -355,6 +355,29 @@ def test_eval_subcommand(tmp_path):
     assert endo.from_json(out) == lie.killing_eval(B, 2, 3)
 
 
+def test_eval_output_loads_as_a_tensor(tmp_path, monkeypatch, capsys):
+    # A boundary leg labelled null gives an axis labelled null; what eval
+    # prints, the tensor loader reads, while labels true and 1.5 stay refused.
+    (tmp_path / "e.json").write_text(json.dumps({
+        "graph": {"vertices": [[0]], "delta": [[0, 1]], "lambda": [[0, None]],
+                  "beta": [[0, None]]},
+        "decor": [["f", [None], []]]}))
+    (tmp_path / "b.json").write_text(json.dumps({"f": ["1", "2"]}))
+    assert cli.main(["eval", "--dim", "2", str(tmp_path / "e.json"),
+                     str(tmp_path / "b.json")]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["axes"] == [["in", None]]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+    assert cli.main(["validate", "--type", "tensor", "-"]) == 0
+    capsys.readouterr()
+    for label in ("true", "1.5"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            '{"dim": 2, "axes": [["in", %s]], "data": ["1", "2"]}' % label))
+        assert cli.main(["validate", "--type", "tensor", "-"]) == 1
+        out, err = capsys.readouterr()
+        assert not out and json.loads(err)["error"] == "InvalidTensor"
+
+
 def test_lie_and_trace_dims():
     rc, out, _ = run(["lie-dim", "4"])
     assert rc == 0 and json.loads(out) == {"n": 4, "dim": 6}

@@ -119,6 +119,12 @@ def test_tensor_product_label_clash():
         tensor_product(identity_tensor("a", 2), identity_tensor("a", 2))
 
 
+def test_tensor_product_names_a_clash_of_mixed_labels():
+    t = Tensor(2, [(IN, 1), (IN, "a")], [[1, 2], [3, 4]])
+    with pytest.raises(LabelClash, match="shared axes"):
+        tensor_product(t, t)
+
+
 def test_tensor_product_cap():
     t = identity_tensor("a", 2)
     u = identity_tensor("b", 2)

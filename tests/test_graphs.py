@@ -68,6 +68,12 @@ def test_validate_rejects_orientation_violation():
                       {0: "a", 1: "b"}, {}, 0)
 
 
+def test_corolla_orders_mixed_labels_numbers_first():
+    g = corolla([1, "a"], ["b", 2])
+    assert [g.lam[f] for f in sorted(g.lam)] == [1, "a", 2, "b"]
+    assert g.beta == g.lam
+
+
 def test_validate_rejects_label_clash():
     # two in-flags of one vertex may not share a label
     with pytest.raises(InvalidGraph):

@@ -571,6 +571,32 @@ def test_wheeled_dim_counts_permutations_by_cycles():
             assert wheeled_dim(n, m) == want, (n, m)
 
 
+def test_wheeled_dim_refuses_negative_counts():
+    for n, m in ((-1, 0), (3, -1), (-2, -2)):
+        with pytest.raises(BoundExceeded):
+            wheeled_dim(n, m)
+
+
+def test_wheeled_dim_computes_each_block_size_once(monkeypatch):
+    # A word block of wheeled_dim(6, 1) has 1..6 letters and a trace block
+    # 1..5; each of those dimensions is computed once per call.
+    sizes = {"lie": [], "trace": []}
+
+    def counted_lie_dim(k, bound=None):
+        sizes["lie"].append(k)
+        return lie_dim(k, bound)
+
+    def counted_trace_space(k, **kwargs):
+        sizes["trace"].append(k)
+        return TraceSpace(k, **kwargs)
+
+    monkeypatch.setattr(lie, "lie_dim", counted_lie_dim)
+    monkeypatch.setattr(lie, "TraceSpace", counted_trace_space)
+    assert lie.wheeled_dim(6, 1) == stirling1(7, 2)
+    assert sorted(sizes["lie"]) == list(range(1, 7))
+    assert sorted(sizes["trace"]) == list(range(1, 6))
+
+
 # -- the eliminator's saturation shortcut --------------------------------------
 
 class PlainEliminator(Eliminator):

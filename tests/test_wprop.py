@@ -57,6 +57,12 @@ def test_eta_boundary_and_arity():
         eta(SIG, "h", ("a", "b"), ("c",))
 
 
+def test_eta_takes_mixed_label_types():
+    e = eta(SIG, "f", (1, "a"), ("c",))
+    assert e.boundary() == (frozenset({1, "a"}), frozenset({"c"}))
+    assert e == eta(SIG, "f", (1, "a"), ("c",))
+
+
 def test_linear_structure():
     e = eta(SIG, "f", ("a", "b"), ("c",))
     assert (e + e) == e.scale(2)
