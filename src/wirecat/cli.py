@@ -119,7 +119,7 @@ def cmd_axioms(args):
     return 0 if report["ok"] else 1
 
 
-_EVAL = {"graph": {}, "decor": [[None, [None], [None]]]}
+_EVAL = {"graph": {}, "decor": wprop._DECOR}
 
 
 def cmd_eval(args):
@@ -127,9 +127,7 @@ def cmd_eval(args):
     if not (wiring.all_fit([obj], _EVAL) and "graph" in obj):
         raise InvalidGraph(["NotAnEvalInput: %.80r is no {graph, decor: "
                             "[[symbol, in-labels, out-labels]]}" % (obj,)])
-    g = graphs.from_obj(obj["graph"])
-    decor = [(sym, tuple(ins), tuple(outs))
-             for sym, ins, outs in obj.get("decor", [])]
+    g, decor = wprop.decorated_from_obj(obj)
     raw = json.loads(_read(args.bindings))
     if not wiring.all_fit([raw], {}):
         raise InvalidTensor("bindings %.80r are no {symbol: nested array}" % (raw,))

@@ -41,7 +41,7 @@ class DirectedGraph:
 
     ``DirectedGraph(...)`` validates.  Surgery on valid graphs (``reorder``,
     ``substitute``, ``wd_to_graph``, the free prop's union, gluing and
-    relabelling) is valid by construction: it builds through ``_trusted``.
+    relabelling), ``free_edge`` and ``corolla`` build through ``_trusted``.
     """
 
     __slots__ = ("vertices", "exceptional", "iota", "pi", "delta", "lam",
@@ -327,13 +327,16 @@ def corolla(in_labels: Iterable[str], out_labels: Iterable[str]) -> DirectedGrap
         for a in sorted(labels, key=label_key):
             n = len(lam)
             delta[n], lam[n] = sign, a
-    return DirectedGraph([list(lam)], (), {}, {}, delta, lam, lam, 0)
+    g = DirectedGraph._trusted([list(lam)], (), {}, {}, delta, lam, lam, 0)
+    if len(set(zip(delta.values(), lam.values()))) < len(lam):  # a label repeats
+        raise InvalidGraph(g.validate())
+    return g
 
 
 def free_edge(in_label: str, out_label: str) -> DirectedGraph:
     """The free-floating edge with boundary ({in_label}, {out_label})."""
-    return DirectedGraph([], [0, 1], {}, {0: 1, 1: 0},
-                         {0: 1, 1: -1}, {}, {0: in_label, 1: out_label}, 0)
+    return DirectedGraph._trusted([], [0, 1], {}, {0: 1, 1: 0},
+                                  {0: 1, 1: -1}, {}, {0: in_label, 1: out_label}, 0)
 
 
 def free_loop(count: int = 1) -> DirectedGraph:

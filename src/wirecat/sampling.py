@@ -7,6 +7,7 @@ circles; graphs with at most 3 vertices per level.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -16,7 +17,7 @@ from . import wprop
 from .endo import Tensor
 from .graphs import DirectedGraph
 from .translate import wd_to_graph
-from .wiring import IN, OUT, Interface, WiringDiagram
+from .wiring import IN, OUT, Interface, WiringDiagram, label_key
 
 
 def _labels(prefix: str, n: int) -> List[str]:
@@ -47,9 +48,9 @@ def _matched(rng: random.Random, interfaces: Sequence[Interface],
     """A diagram on ``interfaces`` (box 0 first) with a uniform matching and
     a random number of circles."""
     out_eps = [(k, OUT, a) for k, box in enumerate(interfaces)
-               for a in sorted(box.out_labels)]
+               for a in sorted(box.out_labels, key=label_key)]
     in_eps = [(k, IN, a) for k, box in enumerate(interfaces)
-              for a in sorted(box.in_labels)]
+              for a in sorted(box.in_labels, key=label_key)]
     rng.shuffle(in_eps)
     return WiringDiagram(interfaces[0], interfaces[1:], dict(zip(out_eps, in_eps)),
                          rng.randint(0, max_circles))
@@ -189,9 +190,8 @@ def random_decorated_element(rng: random.Random, in_labels, out_labels,
         g = random_graph_with_boundary(rng, in_labels, out_labels, max_vertices)
         decor = []
         for k in range(g.r):
-            ins, outs = g.neighbourhood(k + 1)
-            decor.append(("e%d" % rng.randrange(4),
-                          tuple(sorted(ins)), tuple(sorted(outs))))
+            ins, outs = (tuple(sorted(s, key=label_key)) for s in g.neighbourhood(k + 1))
+            decor.append(("e%d" % rng.randrange(4), ins, outs))
         return (random_fraction(rng) or 1, g, tuple(decor))
     terms = [term() for _ in range(rng.randint(1, max_terms))]
     return wprop.FreeElement(in_labels, out_labels, terms)
@@ -222,21 +222,22 @@ def random_free_term(rng: random.Random, sig: wprop.Signature) -> wprop.FreeElem
     """A random word in the free prop: 1-2 generators, a loop or not, 0-1 contractions."""
     syms = sorted(sig.arities)
     fresh = itertools.count()
-    elem = wprop.unit_empty()
+    gens = []
     for _ in range(rng.randint(1, 2)):
         sym = rng.choice(syms)
         n, m = sig.arity(sym)
         ins = ["g%d" % next(fresh) for _ in range(n)]
         outs = ["g%d" % next(fresh) for _ in range(m)]
-        elem = wprop.horizontal(elem, wprop.eta(sig, sym, ins, outs))
+        gens.append(wprop.eta(sig, sym, ins, outs))
+    elem = functools.reduce(wprop.horizontal, gens)
     if rng.random() < 0.3:
         elem = wprop.horizontal(elem, wprop.loop_element())
     for _ in range(rng.randint(0, 1)):
         ins, outs = elem.boundary()
         if not ins or not outs:
             break
-        i = rng.choice(sorted(ins))
-        j = rng.choice(sorted(outs))
+        i = rng.choice(sorted(ins, key=label_key))
+        j = rng.choice(sorted(outs, key=label_key))
         elem = wprop.contract(elem, i, j)
     return elem
 
@@ -252,8 +253,8 @@ def free_sampler(sig: wprop.Signature, max_terms: int = 2):
             ins2, outs2 = other.boundary()
             if len(ins1) != len(ins2) or len(outs1) != len(outs2):
                 continue
-            f = dict(zip(sorted(ins2), sorted(ins1)))
-            g = dict(zip(sorted(outs2), sorted(outs1)))
+            f = dict(zip(sorted(ins2, key=label_key), sorted(ins1, key=label_key)))
+            g = dict(zip(sorted(outs2, key=label_key), sorted(outs1, key=label_key)))
             elem = elem + wprop.relabel(other, f, g).scale(random_fraction(rng) or 1)
         return elem
     return sample

@@ -60,8 +60,7 @@ class Interface:
         return hash((self.out_labels, self.in_labels))
 
     def __repr__(self):
-        return "Interface(out=%r, in=%r)" % (sorted(self.out_labels, key=repr),
-                                             sorted(self.in_labels, key=repr))
+        return "Interface(out=%(out)r, in=%(in)r)" % _interface_to_obj(self)
 
 
 class WiringDiagram:

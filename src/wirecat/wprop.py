@@ -44,7 +44,7 @@ from .graphs import (
     substitute_all,
 )
 from .translate import wd_to_graph
-from .wiring import _LABEL, IN, OUT, WiringDiagram, all_fit, resolve_strands
+from .wiring import _LABEL, IN, OUT, WiringDiagram, all_fit, label_key, resolve_strands
 
 #: A vertex decoration: (generator symbol, in-labels in slot order, out-labels
 #: in slot order).  The label tuples fix how the vertex's flags fill the
@@ -148,7 +148,7 @@ class FreeElement:
 
     def __repr__(self):
         return "FreeElement(in=%r, out=%r, %d terms)" % (
-            sorted(self.in_labels, key=repr), sorted(self.out_labels, key=repr),
+            sorted(self.in_labels, key=label_key), sorted(self.out_labels, key=label_key),
             len(self._items()))
 
 
@@ -257,10 +257,9 @@ def contract(a: FreeElement, i, j) -> FreeElement:
 def _bijections(ins, outs, f: Mapping, g: Mapping):
     """``f`` and ``g`` as dicts, checked to be bijections on ``ins``, ``outs``."""
     f, g = dict(f), dict(g)
-    if set(f) != ins or len(set(f.values())) != len(f):
-        raise NotABijection("in-relabel %r on %r" % (f, sorted(ins, key=repr)))
-    if set(g) != outs or len(set(g.values())) != len(g):
-        raise NotABijection("out-relabel %r on %r" % (g, sorted(outs, key=repr)))
+    for side, m, labels in (("in", f, ins), ("out", g, outs)):
+        if set(m) != labels or len(set(m.values())) != len(m):
+            raise NotABijection("%s-relabel %r on %r" % (side, m, sorted(labels, key=label_key)))
     return f, g
 
 
@@ -404,13 +403,13 @@ def _rename_away(w: WheeledProp, x, taken):
     """Relabel ``x``'s boundary onto fresh labels not in ``taken``."""
     ins, outs = w.boundary(x)
     fresh = _fresh_labels(len(ins) + len(outs), taken)
-    f = dict(zip(sorted(ins, key=repr), fresh[:len(ins)]))
-    g = dict(zip(sorted(outs, key=repr), fresh[len(ins):]))
+    f = dict(zip(sorted(ins, key=label_key), fresh[:len(ins)]))
+    g = dict(zip(sorted(outs, key=label_key), fresh[len(ins):]))
     return w.relabel(x, f, g), f, g
 
 
 def _random_bijection(rng, labels):
-    labels = sorted(labels, key=repr)
+    labels = sorted(labels, key=label_key)
     images = labels[:]
     rng.shuffle(images)
     return dict(zip(labels, images))
@@ -485,9 +484,7 @@ def axiom_suite(w: WheeledProp, sampler, trials: int = 50, rng=None) -> dict:
         ins, outs = w.boundary(x)
         if not ins or not outs:
             return None
-        i = rng.choice(sorted(ins, key=repr))
-        j = rng.choice(sorted(outs, key=repr))
-        return i, j
+        return rng.choice(sorted(ins, key=label_key)), rng.choice(sorted(outs, key=label_key))
 
     def c1(rng):
         a = sampler(rng)
@@ -510,8 +507,8 @@ def axiom_suite(w: WheeledProp, sampler, trials: int = 50, rng=None) -> dict:
         ins, outs = w.boundary(a)
         if len(ins) < 2 or len(outs) < 2:
             return None
-        i, k = rng.sample(sorted(ins, key=repr), 2)
-        j, l = rng.sample(sorted(outs, key=repr), 2)
+        i, k = rng.sample(sorted(ins, key=label_key), 2)
+        j, l = rng.sample(sorted(outs, key=label_key), 2)
         lhs = w.contract(w.contract(a, i, j), k, l)
         rhs = w.contract(w.contract(a, k, l), i, j)
         if lhs != rhs:
@@ -534,7 +531,7 @@ def axiom_suite(w: WheeledProp, sampler, trials: int = 50, rng=None) -> dict:
         taken = set(ins) | set(outs)
         t = _fresh_labels(1, taken)[0]
         if ins:
-            i = rng.choice(sorted(ins, key=repr))
+            i = rng.choice(sorted(ins, key=label_key))
             u = w.unit(t)
             # Feed the unit's output into a's input i, then restore the name.
             got = w.contract(w.horizontal(u, a), i, t)
@@ -544,7 +541,7 @@ def axiom_suite(w: WheeledProp, sampler, trials: int = 50, rng=None) -> dict:
             if got != a:
                 return "HC2: unit not neutral for dioperadic glue at input %r" % (i,)
         if outs:
-            j = rng.choice(sorted(outs, key=repr))
+            j = rng.choice(sorted(outs, key=label_key))
             u = w.unit(t)
             got = w.contract(w.horizontal(a, u), t, j)
             g = {k: k for k in outs - {j}}
@@ -584,13 +581,24 @@ def to_obj(a: FreeElement):
               "decor": [[sym, list(ins), list(outs)] for sym, ins, outs in decor]}
              for coeff, graph, decor in a._items()]
     terms.sort(key=lambda t: json.dumps(t, sort_keys=True))
-    return {"in": sorted(a.in_labels, key=repr),
-            "out": sorted(a.out_labels, key=repr),
-            "terms": terms}
+    return {"in": sorted(a.in_labels, key=label_key),
+            "out": sorted(a.out_labels, key=label_key), "terms": terms}
 
 
+_DECOR = [[(str,), [_LABEL], [_LABEL]]]
 _ELEMENT = {"in": [_LABEL], "out": [_LABEL], "terms": [
-    {"coeff": None, "graph": {}, "decor": [[None, [None], [None]]]}]}
+    {"coeff": None, "graph": {}, "decor": _DECOR}]}
+
+
+def decorated_from_obj(obj) -> Tuple[DirectedGraph, Tuple[Decoration, ...]]:
+    """The ``graph`` of ``obj`` and its ``decor`` rows, one per vertex in order,
+    each row's slots exactly its vertex's in-legs and out-legs."""
+    g = graphs.from_obj(obj.get("graph"))
+    decor = tuple((sym, tuple(ins), tuple(outs)) for sym, ins, outs in obj.get("decor", []))
+    if [(len(i), set(i), len(o), set(o)) for _, i, o in decor] != [
+            (len(i), i, len(o), o) for i, o in map(g.neighbourhood, range(1, g.r + 1))]:
+        raise ArityMismatch("decor rows %.80r do not fill their vertices' legs" % (decor,))
+    return g, decor
 
 
 def from_obj(obj) -> FreeElement:
@@ -602,9 +610,7 @@ def from_obj(obj) -> FreeElement:
             coeff = endo.rational(t.get("coeff", 1))
         except InvalidTensor as exc:
             raise InvalidGraph(["NotAnElement: coeff %s" % exc]) from None
-        decor = tuple((sym, tuple(ins), tuple(outs))
-                      for sym, ins, outs in t.get("decor", []))
-        terms.append((coeff, graphs.from_obj(t.get("graph")), decor))
+        terms.append((coeff, *decorated_from_obj(t)))
     return FreeElement(obj.get("in", ()), obj.get("out", ()), terms)
 
 

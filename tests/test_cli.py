@@ -51,6 +51,14 @@ def test_validate_domain_error_exit_1():
 TRUE_LABEL_WD = ('{"output":{"out":[1,true],"in":[2]},"inputs":[],'
                  '"matching":[[[0,"out",true],[0,"in",2]]],"circles":0}')
 
+# A corolla with in-leg "a" and out-leg "b", and decoration rows for it whose
+# symbol is no string, whose slots are no labels, or whose slot is no leg.
+DECOR_GRAPH = ('{"vertices": [[0, 1]], "delta": [[0, 1], [1, -1]], '
+               '"lambda": [[0, "a"], [1, "b"]], "beta": [[0, "a"], [1, "b"]]}')
+BAD_DECOR = {"symbol": '[7, ["a"], ["b"]]', "slots": '["f", [true], [1.5]]',
+             "leg": '["f", ["zz"], ["b"]]'}
+DECOR_ELEMENT = '{"in": ["a"], "out": ["b"], "terms": [{"graph": %s, "decor": [%s]}]}'
+
 
 @pytest.mark.parametrize("kind, text", [
     ("graph", '{"vertices": 5}'),
@@ -90,6 +98,7 @@ TRUE_LABEL_WD = ('{"output":{"out":[1,true],"in":[2]},"inputs":[],'
     ("wd", '{"output": {"out": ["a"], "in": ["b"]}, "inputs": [{"out": ["b"], "in": ["a"]}], '
            '"matching": [[[0, "out", "a"], [true, "in", "a"]], '
            '[[1, "out", "b"], [0, "in", "b"]]], "circles": 0}'),
+    *[("element", DECOR_ELEMENT % (DECOR_GRAPH, row)) for row in BAD_DECOR.values()],
 ])
 def test_malformed_input_names_its_error(kind, text, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
@@ -127,6 +136,23 @@ def test_element_boundary_labels_are_typed(label, monkeypatch, capsys):
     assert cli.main(["validate", "--type", "element", "-"]) == 1
     out, err = capsys.readouterr()
     assert not out and json.loads(err)["error"] == "InvalidGraph"
+
+
+@pytest.mark.parametrize("fault, error", [("symbol", "InvalidGraph"),
+                                          ("slots", "InvalidGraph"),
+                                          ("leg", "ArityMismatch")])
+def test_decor_rows_are_checked_where_they_are_loaded(fault, error, tmp_path, capsys):
+    # ``validate`` and ``eval`` read decoration rows through one reader, which
+    # refuses them before anything is evaluated.
+    row = BAD_DECOR[fault]
+    (tmp_path / "e.json").write_text(DECOR_ELEMENT % (DECOR_GRAPH, row))
+    (tmp_path / "g.json").write_text('{"graph": %s, "decor": [%s]}' % (DECOR_GRAPH, row))
+    (tmp_path / "b.json").write_text('{"f": [["1"]], "7": [["1"]]}')
+    for argv in (["validate", "--type", "element", str(tmp_path / "e.json")],
+                 ["eval", "--dim", "1", str(tmp_path / "g.json"), str(tmp_path / "b.json")]):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert not out and json.loads(err)["error"] == error
 
 
 @pytest.mark.parametrize("entry", [0.5, True, "1/0"])

@@ -466,7 +466,7 @@ def killing_entry(t, idx):
     pos = [0] * len(idx)
     for k, i in enumerate(idx):
         pos[t.axis_pos(("in", "x%d" % (k + 1)))] = i
-    return t.data[tuple(pos)]
+    return Fraction(int(t.num[tuple(pos)]), t.den)
 
 
 def test_kappa_n_matches_ad_trace_on_random_brackets():

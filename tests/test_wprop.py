@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wirecat import endo, translate, wprop
+from wirecat import endo, translate, wiring, wprop
 from wirecat.errors import (
     ArityMismatch,
     BoundaryMismatch,
@@ -26,7 +26,7 @@ from wirecat.sampling import (
     random_tensor,
     random_wiring_diagram,
 )
-from wirecat.wiring import IN, OUT
+from wirecat.wiring import IN, OUT, Interface
 from wirecat.wprop import (
     EndoWheeledProp,
     FreeElement,
@@ -289,6 +289,18 @@ def test_json_roundtrip():
         assert wprop.to_json(wprop.from_json(s)) == s
 
 
+@pytest.mark.parametrize("labels, order", [({10, 2}, [2, 10]),
+                                           ({1, "a", None}, [1, "a", None])])
+def test_every_writer_lists_labels_in_one_order(labels, order):
+    # Boundaries are label sets: the element and wd writers and the reprs all
+    # print them in ``wiring.label_key`` order, not by value or by ``repr``.
+    e = eta(Signature({"s": (len(labels), 0)}), "s", labels, [])
+    assert wprop.to_obj(e)["in"] == order
+    assert wiring.to_obj(wiring.identity_diagram(labels, []))["output"]["out"] == order
+    assert repr(Interface(labels, [])) == "Interface(out=%r, in=[])" % (order,)
+    assert repr(e) == "FreeElement(in=%r, out=[], 1 terms)" % (order,)
+
+
 @pytest.mark.parametrize("coeff", [0.1, 0.5, True, False])
 def test_free_coefficients_are_exact_only(coeff):
     # As for tensor entries: a float is not the rational it prints as, and a
@@ -391,8 +403,8 @@ def test_element_operation_goldens(op):
 
 
 def test_trusted_surgery_builds_valid_graphs(monkeypatch):
-    # Surgery skips ``validate``; every graph it builds on the law suites'
-    # sampled inputs must still pass it.
+    # Surgery and the generator graphs skip ``validate``; every graph they
+    # build on the law suites' sampled inputs must still pass it.
     built = []
     trusted = DirectedGraph._trusted.__func__
 
@@ -416,7 +428,7 @@ def test_trusted_surgery_builds_valid_graphs(monkeypatch):
         reorder(h, order)
     assert {name for name, _ in built} == {
         "substitute", "reorder", "_disjoint_union", "_glue_boundary",
-        "relabel", "wd_to_graph"}
+        "relabel", "wd_to_graph", "corolla", "free_edge"}
     for name, g in built:
         assert g.validate() == [], (name, g.validate())
 
