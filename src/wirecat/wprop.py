@@ -595,8 +595,8 @@ def decorated_from_obj(obj) -> Tuple[DirectedGraph, Tuple[Decoration, ...]]:
     each row's slots exactly its vertex's in-legs and out-legs."""
     g = graphs.from_obj(obj.get("graph"))
     decor = tuple((sym, tuple(ins), tuple(outs)) for sym, ins, outs in obj.get("decor", []))
-    if [(len(i), set(i), len(o), set(o)) for _, i, o in decor] != [
-            (len(i), i, len(o), o) for i, o in map(g.neighbourhood, range(1, g.r + 1))]:
+    legs = [(len(i), i, len(o), o) for i, o in map(g.neighbourhood, range(1, g.r + 1))]
+    if [(len(i), set(i), len(o), set(o)) for _, i, o in decor] != legs:
         raise ArityMismatch("decor rows %.80r do not fill their vertices' legs" % (decor,))
     return g, decor
 
