@@ -8,14 +8,16 @@ import sys
 
 import pytest
 
-from wirecat import cli, errors, graphs, lie, wiring, wprop
+from wirecat import cli, endo, errors, graphs, lie, wiring, wprop
 from wirecat.sampling import (
+    endo_sampler,
     random_composable_pair,
     random_decorated_element,
     random_diagram_with_output,
     random_fraction,
     random_graph,
     random_graph_with_boundary,
+    random_tensor,
     random_wiring_diagram,
 )
 
@@ -584,6 +586,28 @@ def test_sampler_goldens(name):
     for seed in range(200):
         digest.update((sampler_json(name, seed) + "\n").encode())
     assert digest.hexdigest() == SAMPLER_GOLDENS[name]
+
+
+# sha256 over seeds 0..199 of ``endo.to_json`` and the denominator of one
+# ``endo_sampler(d)`` draw for d = 1, 2, 3 and of ``random_tensor`` on the
+# mixed labels [2, "a"] / [None, 10], one line each, then the seed's next
+# ``rng.random()``.  A change in an entry, in the order or number of draws, or
+# a tensor left out of lowest terms shows.
+ENDO_SAMPLER_GOLDEN = "76d38ffa8c17ca6cbd379e0a6daca46ff7e9b8200c9db1207267dc3195379795"
+
+
+def endo_sampler_lines(seed):
+    rng = random.Random(seed)
+    tensors = [endo_sampler(d)(rng) for d in (1, 2, 3)]
+    tensors.append(random_tensor(rng, 2, [2, "a"], [None, 10]))
+    return ["%s %d" % (endo.to_json(t), t.den) for t in tensors] + [repr(rng.random())]
+
+
+def test_endo_sampler_golden():
+    digest = hashlib.sha256()
+    for seed in range(200):
+        digest.update("".join(line + "\n" for line in endo_sampler_lines(seed)).encode())
+    assert digest.hexdigest() == ENDO_SAMPLER_GOLDEN
 
 
 # sha256 of the standard output of the evaluation commands: ten seeded `eval`

@@ -94,6 +94,9 @@ def test_duplicate_axes_rejected():
     # Results built without re-coercing their entries keep the check.
     with pytest.raises(LabelClash):
         identity_tensor("a", 2).rename_axes({(IN, "a"): (OUT, "a")})
+    # So do sampled tensors, which are built from integer numerators.
+    with pytest.raises(LabelClash):
+        random_tensor(random.Random(0), 2, ["a", "a"], [])
 
 
 def test_scalar_value_and_add():

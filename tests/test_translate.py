@@ -105,4 +105,15 @@ def test_translation_of_any_valid_diagram(d):
     assert g.validate() == []
     assert graph_to_wd(g) == d
     assert wiring.from_json(wiring.to_json(d)) == d
-    graphs.to_json(g)
+    text = graphs.to_json(g)
+    assert graphs.from_json(text) == g
+    assert graphs.to_json(graphs.from_json(text)) == text
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 4))
+def test_translation_of_any_valid_graph(seed, max_vertices):
+    # What ``to-wd`` prints for a valid graph loads back as the same diagram.
+    d = graph_to_wd(random_graph(random.Random(seed), max_vertices=max_vertices))
+    text = wiring.to_json(d)
+    assert wiring.from_json(text) == d
+    assert wiring.to_json(wiring.from_json(text)) == text
