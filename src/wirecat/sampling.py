@@ -197,16 +197,18 @@ def random_decorated_element(rng: random.Random, in_labels, out_labels,
     return wprop.FreeElement(in_labels, out_labels, terms)
 
 
+_N, _D, _DEN = 9, 4, 12  # numerators in -_N.._N, denominators in 1.._D, all dividing _DEN
+
+
 def random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return Fraction(rng.randint(-_N, _N), rng.randint(1, _D))
 
 
 def random_tensor(rng: random.Random, d: int, in_labels: Sequence,
                   out_labels: Sequence) -> Tensor:
     axes = [(IN, l) for l in in_labels] + [(OUT, l) for l in out_labels]
-    size = d ** len(axes)
-    data = [random_fraction(rng) for _ in range(size)]
-    return Tensor(d, axes, data)
+    num = [rng.randint(-_N, _N) * (_DEN // rng.randint(1, _D)) for _ in range(d ** len(axes))]
+    return Tensor._exact(d, axes, num, _DEN)
 
 
 def endo_sampler(d: int):
