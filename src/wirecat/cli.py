@@ -125,17 +125,21 @@ _EVAL = {"graph": {}, "decor": wprop._DECOR}
 def cmd_eval(args):
     obj = json.loads(_read(args.file))
     if not (wiring.all_fit([obj], _EVAL) and "graph" in obj):
-        raise InvalidGraph(["NotAnEvalInput: %.80r is no {graph, decor: "
-                            "[[symbol, in-labels, out-labels]]}" % (obj,)])
+        raise InvalidGraph(["NotAnEvalInput: %.80r does not fit {graph, decor: "
+                            "[[symbol, in-labels, out-labels]]}" % (wprop.misfit(obj),)])
     g, decor = wprop.decorated_from_obj(obj)
     raw = json.loads(_read(args.bindings))
     if not wiring.all_fit([raw], {}):
         raise InvalidTensor("bindings %.80r are no {symbol: nested array}" % (raw,))
-    rank = {sym: len(ins) + len(outs) for sym, ins, outs in decor}
-    if not set(rank) <= set(raw):
+    arity = {}
+    for sym, ins, outs in decor:
+        if arity.setdefault(sym, (len(ins), len(outs))) != (len(ins), len(outs)):
+            raise ArityMismatch("generator %r has arity %r in one row and %r in another"
+                                % (sym, arity[sym], (len(ins), len(outs))))
+    if not set(arity) <= set(raw):
         raise ArityMismatch("no binding for generators %r"
-                            % sorted(set(rank) - set(raw), key=repr))
-    bind = {sym: _array(raw[sym], args.dim, k) for sym, k in rank.items()}
+                            % sorted(set(arity) - set(raw), key=repr))
+    bind = {sym: _array(raw[sym], args.dim, n + m) for sym, (n, m) in arity.items()}
     _write(endo.to_json(endo.evaluate_decorated(g, decor, bind, args.dim)))
     return 0
 

@@ -590,6 +590,14 @@ _ELEMENT = {"in": [_LABEL], "out": [_LABEL], "terms": [
     {"coeff": None, "graph": {}, "decor": _DECOR}]}
 
 
+def misfit(obj):
+    """The first term, and in it the first decoration row, that does not fit."""
+    for key, shape in (("terms", _ELEMENT["terms"][0]), ("decor", _DECOR[0])):
+        if isinstance(obj, dict) and isinstance(obj.get(key), list):
+            obj = next((x for x in obj[key] if not all_fit([x], shape)), obj)
+    return obj
+
+
 def decorated_from_obj(obj) -> Tuple[DirectedGraph, Tuple[Decoration, ...]]:
     """The ``graph`` of ``obj`` and its ``decor`` rows, one per vertex in order,
     each row's slots exactly its vertex's in-legs and out-legs."""
@@ -603,7 +611,8 @@ def decorated_from_obj(obj) -> Tuple[DirectedGraph, Tuple[Decoration, ...]]:
 
 def from_obj(obj) -> FreeElement:
     if not all_fit([obj], _ELEMENT):
-        raise InvalidGraph(["NotAnElement: %.80r is no {in, out, terms}" % (obj,)])
+        raise InvalidGraph(["NotAnElement: %.80r does not fit {in, out, terms: [{coeff, graph, "
+                            "decor: [[symbol, in-labels, out-labels]]}]}" % (misfit(obj),)])
     terms = []
     for t in obj.get("terms", []):
         try:

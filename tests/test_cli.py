@@ -60,6 +60,13 @@ DECOR_GRAPH = ('{"vertices": [[0, 1]], "delta": [[0, 1], [1, -1]], '
 BAD_DECOR = {"symbol": '[7, ["a"], ["b"]]', "slots": '["f", [true], [1.5]]',
              "leg": '["f", ["zz"], ["b"]]'}
 DECOR_ELEMENT = '{"in": ["a"], "out": ["b"], "terms": [{"graph": %s, "decor": [%s]}]}'
+# Two vertices, a -> b and c -> nothing, whose rows use "f" at two arities.
+ARITY_GRAPH = ('{"vertices": [[0, 1], [2]], "delta": [[0, 1], [1, -1], [2, 1]], '
+               '"lambda": [[0, "a"], [1, "b"], [2, "c"]], '
+               '"beta": [[0, "a"], [1, "b"], [2, "c"]]}')
+ARITY_ROWS = '["f", ["a"], ["b"]], ["f", ["c"], []]'
+ARITY_ELEMENT = ('{"in": ["a", "c"], "out": ["b"], "terms": [{"graph": %s, "decor": [%s]}]}'
+                 % (ARITY_GRAPH, ARITY_ROWS))
 
 
 @pytest.mark.parametrize("kind, text", [
@@ -155,6 +162,40 @@ def test_decor_rows_are_checked_where_they_are_loaded(fault, error, tmp_path, ca
         assert cli.main(argv) == 1
         out, err = capsys.readouterr()
         assert not out and json.loads(err)["error"] == error
+
+
+def test_eval_binds_one_arity_per_symbol(tmp_path, capsys):
+    # A free-prop element's generators are graded by arity, so an element may
+    # use one symbol at two arities; ``eval`` binds one tensor per symbol, so
+    # it refuses that, naming the symbol and both arities.
+    (tmp_path / "e.json").write_text(ARITY_ELEMENT)
+    assert cli.main(["validate", "--type", "element", str(tmp_path / "e.json")]) == 0
+    capsys.readouterr()
+    (tmp_path / "g.json").write_text('{"graph": %s, "decor": [%s]}' % (ARITY_GRAPH, ARITY_ROWS))
+    for binding in ('["1", "0"]', '[["1", "0"], ["0", "1"]]'):
+        (tmp_path / "b.json").write_text('{"f": %s}' % binding)
+        assert cli.main(["eval", "--dim", "2", str(tmp_path / "g.json"),
+                         str(tmp_path / "b.json")]) == 1
+        out, err = capsys.readouterr()
+        msg = json.loads(err)
+        assert not out and msg["error"] == "ArityMismatch"
+        assert all(part in msg["message"] for part in ("'f'", "(1, 1)", "(1, 0)"))
+
+
+def test_a_shape_fault_names_the_row_at_fault(tmp_path, capsys):
+    # The rows are long enough that the whole input's first 80 characters
+    # never reach the bad one.
+    rows = ", ".join(['["f", ["a"], ["b"]]'] * 3 + [BAD_DECOR["symbol"]])
+    (tmp_path / "e.json").write_text(DECOR_ELEMENT % (DECOR_GRAPH, rows))
+    (tmp_path / "g.json").write_text('{"graph": %s, "decor": [%s]}' % (DECOR_GRAPH, rows))
+    (tmp_path / "b.json").write_text('{"f": [["1"]]}')
+    for argv in (["validate", "--type", "element", str(tmp_path / "e.json")],
+                 ["eval", "--dim", "1", str(tmp_path / "g.json"), str(tmp_path / "b.json")]):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        msg = json.loads(err)
+        assert not out and msg["error"] == "InvalidGraph"
+        assert "[7, ['a'], ['b']]" in msg["message"]
 
 
 @pytest.mark.parametrize("entry", [0.5, True, "1/0"])
