@@ -24,6 +24,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -106,6 +107,8 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
 
+    # On SIGTERM, exit as on Ctrl-C: the running child is killed and the copies removed.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-", dir=args.workdir))
     try:
         trees = {s: tmp / s for s in SIDES}
