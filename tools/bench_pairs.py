@@ -14,8 +14,8 @@ the medians, and in how many pairs the head was better (ties count for
 neither side, and ``BENCHMARK.json`` of the head says which way is better),
 and each side its rounds per run and its failed tasks.
 
-The script only reads the repository; results stay in the temporary copies,
-which are removed at the end unless ``--keep`` is given.
+The script only reads the repository; the temporary copies are removed at
+the end, also on Ctrl-C or SIGTERM.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ import signal
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -40,12 +39,10 @@ def export(rev: str, dest: Path) -> str:
     """Write the files of ``rev`` into ``dest``; return its short hash."""
     sha = subprocess.run(["git", "rev-parse", "--short", rev + "^{commit}"], cwd=ROOT,
                          check=True, capture_output=True, text=True).stdout.strip()
-    tar = dest.with_suffix(".tar")
-    subprocess.run(["git", "archive", "--format=tar", "-o", str(tar), sha], cwd=ROOT,
-                   check=True)
-    with tarfile.open(tar) as archive:
-        archive.extractall(dest, filter="data")
-    tar.unlink()
+    dest.mkdir()
+    archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     return sha
 
 
@@ -102,7 +99,6 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0, help="seed of the first pair")
     p.add_argument("--seconds", type=float, default=20.0)
     p.add_argument("--workdir", default=None, help="where the temporary copies go")
-    p.add_argument("--keep", action="store_true", help="keep the copies and their results")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -131,10 +127,7 @@ def main(argv=None) -> int:
             runs.append(pair)
         print("\n".join(summary(runs, better)))
     finally:
-        if args.keep:
-            print("bench_pairs: copies kept in %s" % tmp)
-        else:
-            shutil.rmtree(tmp)
+        shutil.rmtree(tmp)
     return 0
 
 
