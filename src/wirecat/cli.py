@@ -14,7 +14,7 @@ import random
 import sys
 
 from . import endo, graphs, lie, wiring, wprop
-from .errors import ArityMismatch, DimMismatch, InvalidGraph, InvalidTensor, WirecatError
+from .errors import ArityMismatch, InvalidGraph, InvalidTensor, WirecatError
 from .sampling import endo_sampler, free_sampler
 from .translate import graph_to_wd, wd_to_graph
 
@@ -26,14 +26,10 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(text: str, path: str = "-"):
-    if path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _write(text: str):
+    sys.stdout.write(text)
+    if not text.endswith("\n"):
+        sys.stdout.write("\n")
 
 
 def _dump(obj) -> str:
@@ -166,8 +162,6 @@ def _load_bracket(path):
 
 def cmd_killing(args):
     bracket, d = _load_bracket(args.bracket)
-    if args.d is not None and args.d != d:
-        raise DimMismatch("--d %d differs from the bracket's dimension %d" % (args.d, d))
     _write(endo.to_json(lie.killing_eval(bracket, args.n, d)))
     return 0
 
@@ -257,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--bracket", required=True,
                    help="nested (d,d,d) array of rationals")
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--d", type=int, default=None,
-                   help="the bracket's dimension; checked against the file")
     c.set_defaults(fn=cmd_killing)
 
     c = sub.add_parser("semisimple", help="semisimplicity certificate checks")

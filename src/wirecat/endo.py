@@ -86,14 +86,6 @@ class Tensor:
         self.num = arr.reshape((dim,) * len(axes)).transpose(order)
         self.num.flags.writeable = False
 
-    def _like(self, num, den) -> "Tensor":
-        """``num / den`` on this tensor's axes, already sorted and checked."""
-        t = Tensor.__new__(Tensor)
-        t.dim, t.axes = self.dim, self.axes
-        t.num, t.den = _lowest(np.asarray(num, dtype=object), den)
-        t.num.flags.writeable = False
-        return t
-
     @property
     def data(self):
         """The entries, as a read-only array of ``Fraction``s."""
@@ -127,14 +119,15 @@ class Tensor:
 
     def scale(self, c) -> "Tensor":
         c = rational(c)
-        return self._like(self.num * c.numerator, self.den * c.denominator)
+        return Tensor._exact(self.dim, self.axes, self.num * c.numerator,
+                             self.den * c.denominator)
 
     def __add__(self, other: "Tensor") -> "Tensor":
         if self.dim != other.dim or self.axes != other.axes:
             raise DimMismatch("adding tensors with different axes")
         den = math.lcm(self.den, other.den)
-        return self._like(self.num * (den // self.den)
-                          + other.num * (den // other.den), den)
+        return Tensor._exact(self.dim, self.axes, self.num * (den // self.den)
+                             + other.num * (den // other.den), den)
 
     def rename_axes(self, mapping) -> "Tensor":
         """Rename axis keys by a partial map (pol, label) -> (pol, label)."""

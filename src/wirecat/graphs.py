@@ -24,7 +24,7 @@ from .errors import (
     InvalidGraph,
     UnknownVertex,
 )
-from .wiring import _LABEL, all_fit, label_key, resolve_strands
+from .wiring import _LABEL, all_fit, label_key, repeats, resolve_strands
 
 
 class DirectedGraph:
@@ -454,13 +454,19 @@ def to_obj(g: DirectedGraph):
 _PAIRS = [[None, None]]
 _LABELS = [[None, _LABEL]]
 _GRAPH = {"vertices": [[None]], "exceptional": [None], "iota": _PAIRS,
-          "pi": _PAIRS, "delta": _PAIRS, "lambda": _LABELS, "beta": _LABELS,
+          "pi": _PAIRS, "delta": [[None, (int,)]], "lambda": _LABELS, "beta": _LABELS,
           "loops": (int,), "loop_flags": (int,)}
 
 
 def from_obj(obj) -> DirectedGraph:
     if not all_fit([obj], _GRAPH):
         raise InvalidGraph(["NotAGraph: %.80r is no object of flag and pair lists" % (obj,)])
+    bad = repeats([("vertex %d" % k, v) for k, v in enumerate(obj.get("vertices", []), 1)]
+                  + [("exceptional", obj.get("exceptional", []))]
+                  + [(key, [f for f, _ in obj.get(key, [])])
+                     for key in ("delta", "lambda", "beta")])
+    if bad:
+        raise InvalidGraph(bad)
     iota, pi = {}, {}
     for pairing, key in ((iota, "iota"), (pi, "pi")):
         for a, b in obj.get(key, []):

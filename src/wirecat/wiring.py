@@ -287,6 +287,18 @@ def all_fit(xs, shape) -> bool:
         all_fit([x[k] for x in xs if k in x], s) for k, s in shape.items())
 
 
+def repeats(lists) -> list:
+    """A ``RepeatedEntry`` message for each ``(name, items)`` of ``lists`` whose
+    items repeat one (``1``, ``1.0`` and ``True`` are one item), naming the
+    first repeat; a list with none costs one ``len(set(...))``."""
+    out = []
+    for name, items in lists:
+        if len(set(items)) < len(items):
+            x = next(x for k, x in enumerate(items) if x in items[:k])
+            out.append("RepeatedEntry: %r twice in %s" % (x, name))
+    return out
+
+
 _LABEL = (int, str, type(None))
 _INTERFACE = {"out": [_LABEL], "in": [_LABEL]}
 _ENDPOINT = [(int,), None, _LABEL]
@@ -313,6 +325,12 @@ def to_obj(d: WiringDiagram):
 def from_obj(obj) -> WiringDiagram:
     if not (all_fit([obj], _DIAGRAM) and "output" in obj):
         raise InvalidDiagram("%.80r is no {output, inputs, matching, circles}" % (obj,))
+    boxes = [obj["output"], *obj.get("inputs", [])]
+    bad = repeats([("box %d %s-labels" % (k, pol), itf.get(pol, []))
+                   for k, itf in enumerate(boxes) for pol in (OUT, IN)]
+                  + [("matching", [tuple(src) for src, _ in obj.get("matching", [])])])
+    if bad:
+        raise InvalidDiagram("; ".join(bad))
     return WiringDiagram(
         _interface_from_obj(obj["output"]),
         [_interface_from_obj(i) for i in obj.get("inputs", [])],

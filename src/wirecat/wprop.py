@@ -44,7 +44,7 @@ from .graphs import (
     substitute_all,
 )
 from .translate import wd_to_graph
-from .wiring import _LABEL, IN, OUT, WiringDiagram, all_fit, label_key, resolve_strands
+from .wiring import _LABEL, IN, OUT, WiringDiagram, all_fit, label_key, repeats, resolve_strands
 
 #: A vertex decoration: (generator symbol, in-labels in slot order, out-labels
 #: in slot order).  The label tuples fix how the vertex's flags fill the
@@ -306,29 +306,10 @@ def flatten(outer: DirectedGraph, inner: Sequence[FreeElement]) -> FreeElement:
 # -- the abstract interface --------------------------------------------------
 
 class WheeledProp:
-    """Capability set shared by wheeled-prop implementations."""
-
-    def boundary(self, x):  # -> (in_labels, out_labels)
-        raise NotImplementedError
-
-    def horizontal(self, a, b):
-        raise NotImplementedError
-
-    def contract(self, a, i, j):
-        raise NotImplementedError
-
-    def unit(self, label):
-        raise NotImplementedError
-
-    def unit_empty(self):
-        raise NotImplementedError
-
-    def relabel(self, a, f, g):
-        raise NotImplementedError
-
-    def evaluate(self, g: DirectedGraph, args: Sequence):
-        """Evaluate ``g`` with ``args[k]`` placed on vertex k+1."""
-        raise NotImplementedError
+    """Capability set shared by wheeled-prop implementations: ``boundary(x)``
+    as ``(in_labels, out_labels)``, ``horizontal(a, b)``, ``contract(a, i, j)``,
+    ``relabel(a, f, g)``, ``unit(label)``, ``unit_empty()`` and
+    ``evaluate(g, args)``, which places ``args[k]`` on vertex k+1 of ``g``."""
 
     def dioperadic(self, a, i, b, l):
         return self.contract(self.horizontal(a, b), i, l)
@@ -613,6 +594,9 @@ def from_obj(obj) -> FreeElement:
     if not all_fit([obj], _ELEMENT):
         raise InvalidGraph(["NotAnElement: %.80r does not fit {in, out, terms: [{coeff, graph, "
                             "decor: [[symbol, in-labels, out-labels]]}]}" % (misfit(obj),)])
+    bad = repeats([(key + "-labels", obj.get(key, [])) for key in ("in", "out")])
+    if bad:
+        raise InvalidGraph(bad)
     terms = []
     for t in obj.get("terms", []):
         try:

@@ -68,6 +68,25 @@ ARITY_ROWS = '["f", ["a"], ["b"]], ["f", ["c"], []]'
 ARITY_ELEMENT = ('{"in": ["a", "c"], "out": ["b"], "terms": [{"graph": %s, "decor": [%s]}]}'
                  % (ARITY_GRAPH, ARITY_ROWS))
 
+# Inputs that repeat an entry of a list the loader reads as a set or a map,
+# with the list and the item its refusal names.
+ONE_FLAG = '{"vertices": [%s], "delta": [%s], "lambda": [%s], "beta": [%s]}'
+REPEATED = [
+    ("graph", ONE_FLAG % ("[0]", "[0, 1]", '[0, "a"], [0, "b"]', '[0, "x"]'), "lambda", "0"),
+    ("graph", ONE_FLAG % ("[0]", "[0, 1], [0, -1]", '[0, "a"]', '[0, "x"]'), "delta", "0"),
+    ("graph", ONE_FLAG % ("[0]", "[0, 1]", '[0, "a"]', '[0, "x"], [0, "y"]'), "beta", "0"),
+    ("graph", ONE_FLAG % ("[0, 0]", "[0, 1]", '[0, "a"]', '[0, "x"]'), "vertex 1", "0"),
+    ("graph", ONE_FLAG % ("[true, 1]", "[1, 1]", '[1, "a"]', '[1, "x"]'), "vertex 1", "1"),
+    ("graph", '{"exceptional": [0, 1, 1], "pi": [[0, 1]], "delta": [[0, 1], [1, -1]], '
+              '"beta": [[0, "a"], [1, "b"]]}', "exceptional", "1"),
+    ("wd", '{"output": {"out": ["a", "a"], "in": ["a"]}, "inputs": [], '
+           '"matching": [[[0, "out", "a"], [0, "in", "a"]]]}', "box 0 out-labels", "'a'"),
+    ("wd", '{"output": {"out": ["a"], "in": ["a"]}, "inputs": [], '
+           '"matching": [[[0, "out", "a"], [0, "in", "a"]], [[0, "out", "a"], [0, "in", "a"]]]}',
+     "matching", "(0, 'out', 'a')"),
+    ("element", '{"in": ["a", "a"], "out": [], "terms": []}', "in-labels", "'a'"),
+]
+
 
 @pytest.mark.parametrize("kind, text", [
     ("graph", '{"vertices": 5}'),
@@ -108,6 +127,10 @@ ARITY_ELEMENT = ('{"in": ["a", "c"], "out": ["b"], "terms": [{"graph": %s, "deco
            '"matching": [[[0, "out", "a"], [true, "in", "a"]], '
            '[[1, "out", "b"], [0, "in", "b"]]], "circles": 0}'),
     *[("element", DECOR_ELEMENT % (DECOR_GRAPH, row)) for row in BAD_DECOR.values()],
+    # A direction is the integer 1 or -1, never ``true`` or ``1.0``.
+    ("graph", ONE_FLAG % ("[0]", "[0, true]", '[0, "a"]', '[0, "x"]')),
+    ("graph", ONE_FLAG % ("[0]", "[0, 1.0]", '[0, "a"]', '[0, "x"]')),
+    *[(kind, text) for kind, text, _, _ in REPEATED],
 ])
 def test_malformed_input_names_its_error(kind, text, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
@@ -116,6 +139,15 @@ def test_malformed_input_names_its_error(kind, text, monkeypatch, capsys):
     assert not out
     name = json.loads(err)["error"]
     assert issubclass(getattr(errors, name), errors.WirecatError)
+
+
+@pytest.mark.parametrize("kind, text, where, item", REPEATED)
+def test_a_repeated_entry_is_refused_not_merged(kind, text, where, item, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert cli.main(["validate", "--type", kind, "-"]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert json.loads(err)["message"] == "RepeatedEntry: %s twice in %s" % (item, where)
 
 
 def test_a_true_label_is_refused_not_read_as_1(monkeypatch, capsys):
@@ -390,8 +422,6 @@ def test_axioms_input_names_its_error(argv, error, capsys):
 
 
 @pytest.mark.parametrize("argv, error, names", [
-    (["--n", "2", "--d", "2"], "DimMismatch", ["2", "3"]),
-    (["--n", "2", "--d", "4"], "DimMismatch", ["4", "3"]),
     (["--n", "0"], "BoundExceeded", ["n=0"]),
     (["--n", "-1"], "BoundExceeded", ["n=-1"]),
 ])
@@ -402,8 +432,7 @@ def test_killing_input_names_its_error(argv, error, names, tmp_path, capsys):
     msg = json.loads(err)
     assert not out and msg["error"] == error
     assert all(name in msg["message"] for name in names)
-    assert cli.main(["killing", "--bracket", str(tmp_path / "sl2.json"),
-                     "--n", "2", "--d", "3"]) == 0
+    assert cli.main(["killing", "--bracket", str(tmp_path / "sl2.json"), "--n", "2"]) == 0
 
 
 def test_eval_subcommand(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from wirecat import endo
 from wirecat.endo import (
     Tensor,
+    evaluate_graph,
     identity_tensor,
     scalar_tensor,
     tensor_product,
@@ -21,7 +22,7 @@ from wirecat.errors import (
     SizeCapExceeded,
     UnknownAxis,
 )
-from wirecat.graphs import DirectedGraph
+from wirecat.graphs import DirectedGraph, corolla
 from wirecat.sampling import random_fraction, random_graph, random_tensor
 from wirecat.wiring import IN, OUT
 
@@ -126,6 +127,14 @@ def test_tensor_product_names_a_clash_of_mixed_labels():
     t = Tensor(2, [(IN, 1), (IN, "a")], [[1, 2], [3, 4]])
     with pytest.raises(LabelClash, match="shared axes"):
         tensor_product(t, t)
+
+
+def test_tensors_of_two_dimensions_do_not_combine():
+    with pytest.raises(DimMismatch):
+        tensor_product(identity_tensor("a", 2), identity_tensor("b", 3))
+    with pytest.raises(DimMismatch, match="vertex 1 has dim 3"):
+        evaluate_graph(corolla(["a"], ["b"]), [identity_tensor("a", 3).rename_axes(
+            {(OUT, "a"): (OUT, "b")})], 2)
 
 
 def test_tensor_product_cap():

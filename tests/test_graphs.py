@@ -4,7 +4,7 @@ import random
 import pytest
 
 from wirecat import graphs
-from wirecat.errors import InvalidGraph, UnknownVertex
+from wirecat.errors import BoundaryMismatch, InvalidGraph, UnknownVertex
 from wirecat.graphs import (
     DirectedGraph,
     canonical_form,
@@ -281,6 +281,18 @@ def test_loose_key_has_no_size_limit():
         assert is_isomorphic_strict(reorder(g, order), h)
 
 
+def test_loose_key_of_cycles_of_two_lengths():
+    # Directed 6-, 3- and 3-cycles of identical vertices: the search meets a
+    # node whose trace is worse than the best leaf's and prunes it.
+    rng = random.Random(44)
+    g = union([cover_graph(1, [(0, 0, 1)], n) for n in (6, 3, 3)])
+    key = loose_canonical_form(g)
+    for _ in range(20):
+        h, _ = shuffled(rng, g, [None] * g.r)
+        assert loose_canonical_form(h) == key
+    assert loose_canonical_form(union([cover_graph(1, [(0, 0, 1)], 4)] * 3)) != key
+
+
 def test_loose_key_is_the_strict_key_in_its_order():
     # The loose key reuses the vertex records of one ``canonical_form`` pass;
     # it must equal the strict key of the graph reordered to the winning order.
@@ -301,6 +313,19 @@ def test_loose_key_is_the_strict_key_in_its_order():
 def test_reorder_rejects_non_permutation():
     with pytest.raises(UnknownVertex):
         reorder(chain_graph(), [1, 1])
+
+
+def test_substitute_checks_the_vertex_and_the_boundary():
+    g = corolla(["a"], ["b"])
+    with pytest.raises(UnknownVertex):
+        substitute(g, 2, g)
+    with pytest.raises(BoundaryMismatch):
+        substitute(g, 1, corolla(["a"], ["c"]))
+
+
+def test_corolla_refuses_a_repeated_label():
+    with pytest.raises(InvalidGraph, match="LabelCollision"):
+        corolla(["a", "a"], [])
 
 
 def test_substitute_corolla_unit_left():

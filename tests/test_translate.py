@@ -1,8 +1,10 @@
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from wirecat import graphs, wiring
+from wirecat.errors import InvalidDiagram
 from wirecat.graphs import (
     canonical_form,
     corolla,
@@ -11,6 +13,7 @@ from wirecat.graphs import (
 )
 from wirecat.sampling import (
     random_composable_pair,
+    random_diagram_into,
     random_graph,
     random_wiring_diagram,
 )
@@ -35,6 +38,11 @@ def test_identity_diagram_translates_to_corolla():
     assert not g.exceptional and g.loop_count == 0
     ins, outs = g.neighbourhood(1)
     assert (ins, outs) == g.boundary() == (frozenset({"s"}), frozenset({"t"}))
+
+
+def test_only_a_diagram_translates_to_a_graph():
+    with pytest.raises(InvalidDiagram):
+        wd_to_graph(corolla(["a"], ["b"]))
 
 
 def test_free_edge_translates_to_no_box_strand():
@@ -108,6 +116,26 @@ def test_translation_of_any_valid_diagram(d):
     text = graphs.to_json(g)
     assert graphs.from_json(text) == g
     assert graphs.to_json(graphs.from_json(text)) == text
+
+
+@given(diagrams(), st.integers(0, 2 ** 32 - 1))
+def test_operad_laws_on_mixed_label_diagrams(d, seed):
+    # Units on both sides, nested associativity and the intertwining with
+    # substitution, with inner diagrams drawn to fit a box of ``d``.
+    assert identity_diagram(d.output.out_labels, d.output.in_labels).compose(1, d) == d
+    if not d.r:
+        return
+    rng = random.Random(seed)
+    i = rng.randint(1, d.r)
+    box = d.inputs[i - 1]
+    assert d.compose(i, identity_diagram(box.in_labels, box.out_labels)) == d
+    e = random_diagram_into(rng, d, i)
+    assert is_isomorphic_strict(wd_to_graph(d.compose(i, e)),
+                                substitute(wd_to_graph(d), i, wd_to_graph(e)))
+    if e.r:
+        j = rng.randint(1, e.r)
+        f = random_diagram_into(rng, e, j)
+        assert d.compose(i, e.compose(j, f)) == d.compose(i, e).compose(i - 1 + j, f)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 4))

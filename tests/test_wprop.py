@@ -13,6 +13,7 @@ from wirecat.errors import (
     InvalidTensor,
     LabelClash,
     NotABijection,
+    UnknownLabel,
     WirecatError,
 )
 from wirecat.graphs import DirectedGraph, corolla, reorder, substitute_all
@@ -55,6 +56,13 @@ def test_eta_boundary_and_arity():
         eta(SIG, "f", ("a",), ("c",))
     with pytest.raises(ArityMismatch):
         eta(SIG, "h", ("a", "b"), ("c",))
+    with pytest.raises(ArityMismatch):
+        eta(SIG, "f", ("a", "b"), ("c", "d"))
+
+
+def test_an_element_needs_one_decoration_per_vertex():
+    with pytest.raises(ArityMismatch):
+        FreeElement(["a"], ["b"], [(1, corolla(["a"], ["b"]), ())])
 
 
 def test_eta_takes_mixed_label_types():
@@ -94,6 +102,14 @@ def test_contract_with_unit_relabels():
     e = eta(SIG, "f", ("a", "b"), ("c",))
     assert contract(horizontal(e, unit("u")), "u", "c") == \
         relabel(e, {"a": "a", "b": "b"}, {"c": "u"})
+
+
+def test_contract_names_an_unknown_label():
+    e = eta(SIG, "f", ("a", "b"), ("c",))
+    with pytest.raises(UnknownLabel, match="'z' not an in-label"):
+        contract(e, "z", "c")
+    with pytest.raises(UnknownLabel, match="'z' not an out-label"):
+        contract(e, "a", "z")
 
 
 def test_contract_unit_on_itself_is_loop():
