@@ -461,12 +461,18 @@ _GRAPH = {"vertices": [[None]], "exceptional": [None], "iota": _PAIRS,
 def from_obj(obj) -> DirectedGraph:
     if not all_fit([obj], _GRAPH):
         raise InvalidGraph(["NotAGraph: %.80r is no object of flag and pair lists" % (obj,)])
-    bad = repeats([("vertex %d" % k, v) for k, v in enumerate(obj.get("vertices", []), 1)]
-                  + [("exceptional", obj.get("exceptional", []))]
-                  + [(key, [f for f, _ in obj.get(key, [])])
-                     for key in ("delta", "lambda", "beta")])
-    if bad:
-        raise InvalidGraph(bad)
+    cells = [*obj.get("vertices", []), obj.get("exceptional", [])]
+    keys = ("delta", "lambda", "beta")
+    delta, lam, beta = maps = [dict(obj.get(key, [])) for key in keys]
+    # The cells of a valid graph list each flag of ``delta`` once, so only
+    # where a count fails can a repeated entry merge into a valid graph.
+    if (sum(map(len, cells)) != len(delta)
+            or any(len(m) < len(obj.get(key, [])) for key, m in zip(keys, maps))):
+        bad = repeats([("vertex %d" % k, v) for k, v in enumerate(cells[:-1], 1)]
+                      + [("exceptional", cells[-1])]
+                      + [(key, [f for f, _ in obj.get(key, [])]) for key in keys])
+        if bad:
+            raise InvalidGraph(bad)
     iota, pi = {}, {}
     for pairing, key in ((iota, "iota"), (pi, "pi")):
         for a, b in obj.get(key, []):
@@ -475,15 +481,8 @@ def from_obj(obj) -> DirectedGraph:
     if loop_flags % 2 or loop_flags < 0:
         raise InvalidGraph(["OddLoopFlags: %d is not an even nonnegative number of "
                             "loop flags" % loop_flags])
-    return DirectedGraph(
-        obj.get("vertices", []),
-        obj.get("exceptional", []),
-        iota, pi,
-        dict(obj.get("delta", [])),
-        dict(obj.get("lambda", [])),
-        dict(obj.get("beta", [])),
-        obj.get("loops", 0) + loop_flags // 2,
-    )
+    return DirectedGraph(cells[:-1], cells[-1], iota, pi, delta, lam, beta,
+                         obj.get("loops", 0) + loop_flags // 2)
 
 
 def to_json(g: DirectedGraph) -> str:

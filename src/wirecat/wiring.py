@@ -288,9 +288,9 @@ def all_fit(xs, shape) -> bool:
 
 
 def repeats(lists) -> list:
-    """A ``RepeatedEntry`` message for each ``(name, items)`` of ``lists`` whose
-    items repeat one (``1``, ``1.0`` and ``True`` are one item), naming the
-    first repeat; a list with none costs one ``len(set(...))``."""
+    """One ``RepeatedEntry`` message per ``(name, items)`` of ``lists`` whose
+    ``items`` hold an item twice (``1``, ``1.0`` and ``True`` are one item),
+    naming the first repeat; a list with none costs one ``len(set(...))``."""
     out = []
     for name, items in lists:
         if len(set(items)) < len(items):
@@ -325,18 +325,19 @@ def to_obj(d: WiringDiagram):
 def from_obj(obj) -> WiringDiagram:
     if not (all_fit([obj], _DIAGRAM) and "output" in obj):
         raise InvalidDiagram("%.80r is no {output, inputs, matching, circles}" % (obj,))
-    boxes = [obj["output"], *obj.get("inputs", [])]
-    bad = repeats([("box %d %s-labels" % (k, pol), itf.get(pol, []))
-                   for k, itf in enumerate(boxes) for pol in (OUT, IN)]
-                  + [("matching", [tuple(src) for src, _ in obj.get("matching", [])])])
-    if bad:
-        raise InvalidDiagram("; ".join(bad))
-    return WiringDiagram(
-        _interface_from_obj(obj["output"]),
-        [_interface_from_obj(i) for i in obj.get("inputs", [])],
-        {tuple(src): tuple(dst) for src, dst in obj.get("matching", [])},
-        obj.get("circles", 0),
-    )
+    boxes, pairs = [obj["output"], *obj.get("inputs", [])], obj.get("matching", [])
+    matching = {tuple(src): tuple(dst) for src, dst in pairs}
+    # The boxes of a valid diagram list each endpoint of ``matching`` once, so
+    # only where a count fails can a repeated entry merge into a valid diagram.
+    if (sum(len(b.get(OUT, ())) + len(b.get(IN, ())) for b in boxes) != 2 * len(matching)
+            or len(matching) < len(pairs)):
+        bad = repeats([("box %d %s-labels" % (k, pol), b.get(pol, []))
+                       for k, b in enumerate(boxes) for pol in (OUT, IN)]
+                      + [("matching", [tuple(src) for src, _ in pairs])])
+        if bad:
+            raise InvalidDiagram("; ".join(bad))
+    return WiringDiagram(_interface_from_obj(boxes[0]), map(_interface_from_obj, boxes[1:]),
+                         matching, obj.get("circles", 0))
 
 
 def to_json(d: WiringDiagram) -> str:
