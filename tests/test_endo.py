@@ -133,8 +133,7 @@ def test_tensors_of_two_dimensions_do_not_combine():
     with pytest.raises(DimMismatch):
         tensor_product(identity_tensor("a", 2), identity_tensor("b", 3))
     with pytest.raises(DimMismatch, match="vertex 1 has dim 3"):
-        evaluate_graph(corolla(["a"], ["b"]), [identity_tensor("a", 3).rename_axes(
-            {(OUT, "a"): (OUT, "b")})], 2)
+        evaluate_graph(corolla(["a"], ["b"]), [Tensor(3, [(IN, "a"), (OUT, "b")], [0] * 9)], 2)
 
 
 def test_tensor_product_cap():
