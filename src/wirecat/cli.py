@@ -122,7 +122,7 @@ def cmd_eval(args):
     obj = json.loads(_read(args.file))
     if not (wiring.all_fit([obj], _EVAL) and "graph" in obj):
         raise InvalidGraph(["NotAnEvalInput: %.80r does not fit {graph, decor: "
-                            "[[symbol, in-labels, out-labels]]}" % (wprop.misfit(obj),)])
+                            "[[symbol, in-labels, out-labels]]}" % (wiring.misfit(obj, _EVAL),)])
     g, decor = wprop.decorated_from_obj(obj)
     raw = json.loads(_read(args.bindings))
     if not wiring.all_fit([raw], {}):

@@ -24,7 +24,7 @@ from .errors import (
     InvalidGraph,
     UnknownVertex,
 )
-from .wiring import _LABEL, all_fit, label_key, repeats, resolve_strands
+from .wiring import _LABEL, all_fit, label_key, misfit, repeats, resolve_strands
 
 
 class DirectedGraph:
@@ -39,9 +39,11 @@ class DirectedGraph:
     ``beta``'s the boundary (the ``iota``-fixed flags) and ``pi``'s the
     exceptional cell.
 
-    ``DirectedGraph(...)`` validates.  Surgery on valid graphs (``reorder``,
-    ``substitute``, ``wd_to_graph``, the free prop's union, gluing and
-    relabelling), ``free_edge`` and ``corolla`` build through ``_trusted``.
+    ``DirectedGraph(...)`` copies the maps it is given and validates.
+    Surgery on valid graphs (``reorder``, ``substitute``, ``wd_to_graph``,
+    the free prop's union, gluing and relabelling), ``free_edge``,
+    ``corolla`` and ``free_loop`` build through ``_trusted``, which keeps the
+    maps it is given: no code writes into a graph's maps.
     """
 
     __slots__ = ("vertices", "exceptional", "iota", "pi", "delta", "lam",
@@ -50,14 +52,17 @@ class DirectedGraph:
     def __init__(self, vertices: Iterable[Iterable], exceptional: Iterable = (),
                  iota: Mapping = (), pi: Mapping = (), delta: Mapping = (),
                  lam: Mapping = (), beta: Mapping = (), loop_count: int = 0):
-        self._fill(vertices, exceptional, iota, pi, delta, lam, beta, loop_count)
+        self._fill(vertices, exceptional, *map(dict, (iota, pi, delta, lam, beta)),
+                   loop_count)
         violations = self.validate()
         if violations:
             raise InvalidGraph(violations)
 
     @classmethod
     def _trusted(cls, *parts) -> "DirectedGraph":
-        """``DirectedGraph(*parts)`` without ``validate``, for valid parts."""
+        """``DirectedGraph(*parts)`` without ``validate``, for valid parts.  It
+        takes ownership of the five maps: callers pass fresh dicts, or those
+        of a graph they leave unchanged."""
         g = cls.__new__(cls)
         g._fill(*parts)
         return g
@@ -65,11 +70,7 @@ class DirectedGraph:
     def _fill(self, vertices, exceptional, iota, pi, delta, lam, beta, loop_count):
         self.vertices = tuple(frozenset(v) for v in vertices)
         self.exceptional = frozenset(exceptional)
-        self.iota = dict(iota)
-        self.pi = dict(pi)
-        self.delta = dict(delta)
-        self.lam = dict(lam)
-        self.beta = dict(beta)
+        self.iota, self.pi, self.delta, self.lam, self.beta = iota, pi, delta, lam, beta
         self.loop_count = loop_count
         self._vertex_of = {f: idx for idx, v in enumerate(self.vertices) for f in v}
 
@@ -340,7 +341,11 @@ def free_edge(in_label: str, out_label: str) -> DirectedGraph:
 
 
 def free_loop(count: int = 1) -> DirectedGraph:
-    return DirectedGraph([], (), {}, {}, {}, {}, {}, count)
+    """``count`` free loops and nothing else."""
+    g = DirectedGraph._trusted([], (), {}, {}, {}, {}, {}, count)
+    if count < 0 or count != int(count):
+        raise InvalidGraph(g.validate())
+    return g
 
 
 def substitute(g: DirectedGraph, v: int, h: DirectedGraph) -> DirectedGraph:
@@ -460,7 +465,8 @@ _GRAPH = {"vertices": [[None]], "exceptional": [None], "iota": _PAIRS,
 
 def from_obj(obj) -> DirectedGraph:
     if not all_fit([obj], _GRAPH):
-        raise InvalidGraph(["NotAGraph: %.80r is no object of flag and pair lists" % (obj,)])
+        raise InvalidGraph(["NotAGraph: %.80r does not fit {vertices, exceptional, iota, pi, "
+                            "delta, lambda, beta, loops}" % (misfit(obj, _GRAPH),)])
     cells = [*obj.get("vertices", []), obj.get("exceptional", [])]
     keys = ("delta", "lambda", "beta")
     delta, lam, beta = maps = [dict(obj.get(key, [])) for key in keys]

@@ -12,6 +12,7 @@ contribute to the circle count.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 from typing import Dict, Iterable, Mapping, Tuple
@@ -97,7 +98,11 @@ class WiringDiagram:
             raise NonBijectiveMatching("unmatched out-endpoints %r" % (missing,))
         values = set(self.matching.values())
         if len(values) != len(self.matching) or values != expected_in:
-            raise NonBijectiveMatching("in-endpoints not hit exactly once")
+            hits = collections.Counter(self.matching.values())
+            twice = sorted((e for e, n in hits.items() if n > 1), key=repr)
+            never = sorted(expected_in - values, key=repr)
+            raise NonBijectiveMatching("in-endpoints hit more than once %r, never hit %r"
+                                       % (twice, never))
 
     # -- structure --
 
@@ -287,6 +292,30 @@ def all_fit(xs, shape) -> bool:
         all_fit([x[k] for x in xs if k in x], s) for k, s in shape.items())
 
 
+def misfit(obj, shape):
+    """The part of ``obj`` to name when it does not fit ``shape``.  The walk
+    goes down through the first list item or object key that fails
+    ``all_fit``: it returns a failing row of fixed length (a pair, an
+    endpoint, a decoration row) or an object key that ``shape`` does not
+    have, and otherwise the list or object that holds the failing value."""
+    while True:
+        if isinstance(shape, dict) and isinstance(obj, dict):
+            unknown = [k for k in obj if shape and k not in shape]
+            if unknown:
+                return {unknown[0]: obj[unknown[0]]}
+            parts = [(obj[k], shape[k]) for k in obj if k in shape]
+        elif isinstance(shape, list) and len(shape) == 1 and isinstance(obj, list):
+            parts = [(x, shape[0]) for x in obj]
+        else:
+            return obj
+        x, s = next(((x, s) for x, s in parts if not all_fit([x], s)), (None, None))
+        if not isinstance(x, (list, dict)) or not isinstance(x, type(s)):
+            return obj
+        if isinstance(s, list) and len(s) > 1:
+            return x
+        obj, shape = x, s
+
+
 def repeats(lists) -> list:
     """One ``RepeatedEntry`` message per ``(name, items)`` of ``lists`` whose
     ``items`` hold an item twice (``1``, ``1.0`` and ``True`` are one item),
@@ -324,7 +353,8 @@ def to_obj(d: WiringDiagram):
 
 def from_obj(obj) -> WiringDiagram:
     if not (all_fit([obj], _DIAGRAM) and "output" in obj):
-        raise InvalidDiagram("%.80r is no {output, inputs, matching, circles}" % (obj,))
+        raise InvalidDiagram("%.80r does not fit {output, inputs, matching, circles}"
+                             % (misfit(obj, _DIAGRAM),))
     boxes, pairs = [obj["output"], *obj.get("inputs", [])], obj.get("matching", [])
     matching = {tuple(src): tuple(dst) for src, dst in pairs}
     # The boxes of a valid diagram list each endpoint of ``matching`` once, so

@@ -44,7 +44,8 @@ from .graphs import (
     substitute_all,
 )
 from .translate import wd_to_graph
-from .wiring import _LABEL, IN, OUT, WiringDiagram, all_fit, label_key, repeats, resolve_strands
+from .wiring import (_LABEL, IN, OUT, WiringDiagram, all_fit, label_key, misfit, repeats,
+                     resolve_strands)
 
 #: A vertex decoration: (generator symbol, in-labels in slot order, out-labels
 #: in slot order).  The label tuples fix how the vertex's flags fill the
@@ -77,6 +78,10 @@ class FreeElement:
     as given.  Operations read ``_items()``, always exactly ``terms.values()``:
     one nonzero term is its own collapse and needs no key; more are collapsed.
     Coefficients are exact: a float or a boolean raises ``InvalidTensor``.
+
+    ``FreeElement(...)`` checks each term's coefficient, boundary and number
+    of decorations.  The operations build their results through
+    ``_trusted``, as their terms hold all three by construction.
     """
 
     __slots__ = ("in_labels", "out_labels", "_raw", "_terms")
@@ -96,6 +101,16 @@ class FreeElement:
                 raise ArityMismatch("%d decorations for %d vertices" % (len(decor), graph.r))
             if coeff != 0:
                 self._raw.append((coeff, graph, decor))
+
+    @classmethod
+    def _trusted(cls, in_labels, out_labels, terms) -> "FreeElement":
+        """``FreeElement(in_labels, out_labels, terms)`` without the per-term
+        checks, for terms with ``Fraction`` coefficients, graphs of this
+        boundary and one decoration per vertex, in a tuple."""
+        a = cls.__new__(cls)
+        a.in_labels, a.out_labels = frozenset(in_labels), frozenset(out_labels)
+        a._raw, a._terms = [t for t in terms if t[0]], None
+        return a
 
     @property
     def terms(self) -> Dict:
@@ -121,14 +136,14 @@ class FreeElement:
     def __add__(self, other: "FreeElement") -> "FreeElement":
         if other.boundary() != self.boundary():
             raise BoundaryMismatch("adding elements with different boundaries")
-        return FreeElement(self.in_labels, self.out_labels,
-                           [*self._items(), *other._items()])
+        return FreeElement._trusted(self.in_labels, self.out_labels,
+                                    [*self._items(), *other._items()])
 
     def scale(self, c) -> "FreeElement":
         endo.check_exact(c)
         c = Fraction(c)
-        return FreeElement(self.in_labels, self.out_labels,
-                           [(c * k, g, dec) for k, g, dec in self._items()])
+        return FreeElement._trusted(self.in_labels, self.out_labels,
+                                    [(c * k, g, dec) for k, g, dec in self._items()])
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -161,20 +176,20 @@ def eta(sig: Signature, sym: str, in_seq: Sequence, out_seq: Sequence) -> FreeEl
     if len(out_seq) != m or len(set(out_seq)) != m:
         raise ArityMismatch("out-labels %r for arity %d" % (out_seq, m))
     g = corolla(in_seq, out_seq)
-    return FreeElement(in_seq, out_seq, [(1, g, ((sym, in_seq, out_seq),))])
+    return FreeElement._trusted(in_seq, out_seq, [(Fraction(1), g, ((sym, in_seq, out_seq),))])
 
 
 def unit(label) -> FreeElement:
     """The identity strand on one label: a free edge in and out at ``label``."""
-    return FreeElement([label], [label], [(1, free_edge(label, label), ())])
+    return FreeElement._trusted([label], [label], [(Fraction(1), free_edge(label, label), ())])
 
 
 def unit_empty() -> FreeElement:
-    return FreeElement((), (), [(1, free_loop(0), ())])
+    return FreeElement._trusted((), (), [(Fraction(1), free_loop(0), ())])
 
 
 def loop_element() -> FreeElement:
-    return FreeElement((), (), [(1, free_loop(1), ())])
+    return FreeElement._trusted((), (), [(Fraction(1), free_loop(1), ())])
 
 
 # -- graph surgery -----------------------------------------------------------
@@ -240,8 +255,8 @@ def horizontal(a: FreeElement, b: FreeElement) -> FreeElement:
     out = []
     for ca, ga, da in a._items():
         for cb, gb, db in b._items():
-            out.append((ca * cb, _disjoint_union(ga, gb), tuple(da) + tuple(db)))
-    return FreeElement(a.in_labels | b.in_labels, a.out_labels | b.out_labels, out)
+            out.append((ca * cb, _disjoint_union(ga, gb), da + db))
+    return FreeElement._trusted(a.in_labels | b.in_labels, a.out_labels | b.out_labels, out)
 
 
 def contract(a: FreeElement, i, j) -> FreeElement:
@@ -251,7 +266,7 @@ def contract(a: FreeElement, i, j) -> FreeElement:
     if j not in a.out_labels:
         raise UnknownLabel("%r not an out-label of %r" % (j, a))
     out = [(c, _glue_boundary(g, i, j), dec) for c, g, dec in a._items()]
-    return FreeElement(a.in_labels - {i}, a.out_labels - {j}, out)
+    return FreeElement._trusted(a.in_labels - {i}, a.out_labels - {j}, out)
 
 
 def _bijections(ins, outs, f: Mapping, g: Mapping):
@@ -272,7 +287,7 @@ def relabel(a: FreeElement, f: Mapping, g: Mapping) -> FreeElement:
         out.append((c, DirectedGraph._trusted(gr.vertices, gr.exceptional, gr.iota,
                                               gr.pi, gr.delta, gr.lam, beta,
                                               gr.loop_count), dec))
-    return FreeElement(set(f.values()), set(g.values()), out)
+    return FreeElement._trusted(f.values(), g.values(), out)
 
 
 def dioperadic(a: FreeElement, i, b: FreeElement, l) -> FreeElement:
@@ -296,11 +311,11 @@ def flatten(outer: DirectedGraph, inner: Sequence[FreeElement]) -> FreeElement:
     choices = [list(e._items()) for e in inner]
     out_terms = []
     for combo in itertools.product(*choices):
-        coeff = math.prod(c for c, _, _ in combo)
+        coeff = math.prod((c for c, _, _ in combo), start=Fraction(1))
         glued = substitute_all(outer, {k + 1: g for k, (_, g, _) in enumerate(combo)})
         decor = tuple(itertools.chain.from_iterable(dec for _, _, dec in combo))
         out_terms.append((coeff, glued, decor))
-    return FreeElement(ins, outs, out_terms)
+    return FreeElement._trusted(ins, outs, out_terms)
 
 
 # -- the abstract interface --------------------------------------------------
@@ -571,14 +586,6 @@ _ELEMENT = {"in": [_LABEL], "out": [_LABEL], "terms": [
     {"coeff": None, "graph": {}, "decor": _DECOR}]}
 
 
-def misfit(obj):
-    """The first term, and in it the first decoration row, that does not fit."""
-    for key, shape in (("terms", _ELEMENT["terms"][0]), ("decor", _DECOR[0])):
-        if isinstance(obj, dict) and isinstance(obj.get(key), list):
-            obj = next((x for x in obj[key] if not all_fit([x], shape)), obj)
-    return obj
-
-
 def decorated_from_obj(obj) -> Tuple[DirectedGraph, Tuple[Decoration, ...]]:
     """The ``graph`` of ``obj`` and its ``decor`` rows, one per vertex in order,
     each row's slots exactly its vertex's in-legs and out-legs."""
@@ -593,7 +600,8 @@ def decorated_from_obj(obj) -> Tuple[DirectedGraph, Tuple[Decoration, ...]]:
 def from_obj(obj) -> FreeElement:
     if not all_fit([obj], _ELEMENT):
         raise InvalidGraph(["NotAnElement: %.80r does not fit {in, out, terms: [{coeff, graph, "
-                            "decor: [[symbol, in-labels, out-labels]]}]}" % (misfit(obj),)])
+                            "decor: [[symbol, in-labels, out-labels]]}]}"
+                            % (misfit(obj, _ELEMENT),)])
     bad = repeats([(key + "-labels", obj.get(key, [])) for key in ("in", "out")])
     if bad:
         raise InvalidGraph(bad)

@@ -87,6 +87,18 @@ REPEATED = [
     ("element", '{"in": ["a", "a"], "out": [], "terms": []}', "in-labels", "'a'"),
 ]
 
+# Shape faults deep in an input, with the part of it that the message shows.
+DEEP_FAULTS = {
+    '{"vertices": [[0, 1], [2, 3], [4, 5]], "delta": [[0, 1], [1, -1], [2, 1], '
+    '[3, -1], [4, 1], [5, true]], "lambda": [[0, "a"], [1, "b"], [2, "a"], [3, "b"], '
+    '[4, "a"], [5, "b"]], "iota": [[1, 2], [3, 4]], "beta": [[0, "a"], [5, "b"]]}':
+        "[5, True]",
+    '{"output": {"out": ["a"], "in": ["b"]}, "inputs": [{"out": ["b"], "in": ["a"]}], '
+    '"matching": [[[0, "out", "a"], [1, "in", "a"]], [[1, "out", "b"], [0, "in", true]]], '
+    '"circles": 0}':
+        "[[1, 'out', 'b'], [0, 'in', True]]",
+}
+
 
 @pytest.mark.parametrize("kind, text", [
     ("graph", '{"vertices": 5}'),
@@ -131,14 +143,33 @@ REPEATED = [
     ("graph", ONE_FLAG % ("[0]", "[0, true]", '[0, "a"]', '[0, "x"]')),
     ("graph", ONE_FLAG % ("[0]", "[0, 1.0]", '[0, "a"]', '[0, "x"]')),
     *[(kind, text) for kind, text, _, _ in REPEATED],
+    *zip(("graph", "wd"), DEEP_FAULTS),
 ])
 def test_malformed_input_names_its_error(kind, text, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     assert cli.main(["validate", "--type", kind, "-"]) == 1
     out, err = capsys.readouterr()
     assert not out
-    name = json.loads(err)["error"]
-    assert issubclass(getattr(errors, name), errors.WirecatError)
+    msg = json.loads(err)
+    assert issubclass(getattr(errors, msg["error"]), errors.WirecatError)
+    assert DEEP_FAULTS.get(text, "") in msg["message"]
+
+
+@pytest.mark.parametrize("ins, twice, never", [
+    (["c"], [(0, "in", "c")], []),
+    (["c", "d"], [(0, "in", "c")], [(0, "in", "d")]),
+])
+def test_a_matching_names_the_in_endpoints_it_misses(ins, twice, never, monkeypatch, capsys):
+    # Out-labels a and b of box 0 both match in-label c.
+    text = json.dumps({"output": {"out": ["a", "b"], "in": ins}, "inputs": [],
+                       "matching": [[[0, "out", "a"], [0, "in", "c"]],
+                                    [[0, "out", "b"], [0, "in", "c"]]]})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert cli.main(["validate", "--type", "wd", "-"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and json.loads(err) == {
+        "error": "NonBijectiveMatching",
+        "message": "in-endpoints hit more than once %r, never hit %r" % (twice, never)}
 
 
 @pytest.mark.parametrize("kind, text, where, item", REPEATED)

@@ -328,6 +328,27 @@ def test_corolla_refuses_a_repeated_label():
         corolla(["a", "a"], [])
 
 
+@pytest.mark.parametrize("count", [-1, 1.5])
+def test_free_loop_refuses_a_count_that_is_no_nonnegative_integer(count):
+    with pytest.raises(InvalidGraph, match="LoopCount"):
+        free_loop(count)
+
+
+def test_a_graph_copies_the_maps_it_is_given():
+    # ``DirectedGraph(...)`` copies its input, so a caller's later writes
+    # into the lists and dicts it passed leave the graph unchanged.
+    parts = [[[0, 1], [2, 3]], [4, 5], {1: 2, 2: 1}, {4: 5, 5: 4},
+             {0: 1, 1: -1, 2: 1, 3: -1, 4: 1, 5: -1},
+             {0: "a", 1: "m", 2: "m", 3: "b"}, {0: "p", 3: "q", 4: "r", 5: "s"}]
+    g = DirectedGraph(*parts, 1)
+    before = graphs.to_json(g)
+    parts[0][0].append(6)
+    parts[1].append(6)
+    for m in parts[2:]:
+        m[0], m[6] = m.pop(1, "x"), -1
+    assert graphs.to_json(g) == before and g.validate() == []
+
+
 def test_substitute_corolla_unit_left():
     # Substituting the matching corolla into any vertex changes nothing.
     rng = random.Random(23)

@@ -444,9 +444,36 @@ def test_trusted_surgery_builds_valid_graphs(monkeypatch):
         reorder(h, order)
     assert {name for name, _ in built} == {
         "substitute", "reorder", "_disjoint_union", "_glue_boundary",
-        "relabel", "wd_to_graph", "corolla", "free_edge"}
+        "relabel", "wd_to_graph", "corolla", "free_edge", "free_loop"}
     for name, g in built:
         assert g.validate() == [], (name, g.validate())
+
+
+def test_trusted_elements_pass_the_full_checks(monkeypatch):
+    # The operations and the units skip the per-term checks; every element
+    # they build on the law suites' inputs must pass them as built.
+    built = []
+    trusted = FreeElement._trusted.__func__
+
+    def recorded(cls, *parts):
+        built.append(trusted(cls, *parts))
+        return built[-1]
+
+    monkeypatch.setattr(FreeElement, "_trusted", classmethod(recorded))
+    rng = random.Random(63)
+    report = axiom_suite(FreeWheeledProp(SIG), free_sampler(SIG, max_terms=3),
+                         trials=10, rng=rng)
+    for _ in range(20):
+        g, mids, inners = sample_two_level(rng)
+        flatten(g, [flatten(mids[v], inners[v]) for v in range(1, g.r + 1)])
+        flatten(substitute_all(g, mids),
+                [e for v in range(1, g.r + 1) for e in inners[v]])
+        random_free_term(rng, SIG)
+    for a in built:
+        assert FreeElement(a.in_labels, a.out_labels, a._raw)._raw == a._raw
+        for coeff, graph, _ in a._raw:
+            assert type(coeff) is Fraction and graph.validate() == []
+    assert report["ok"]
 
 
 def test_terms_are_keyed_only_to_merge_or_compare(monkeypatch):
