@@ -24,7 +24,7 @@ from .errors import (
     UnknownAxis,
 )
 from .graphs import DirectedGraph
-from .wiring import _LABEL, IN, OUT, all_fit
+from .wiring import _LABEL, IN, OUT, all_fit, misfit
 
 DEFAULT_CAP_POWER = 12
 
@@ -246,7 +246,8 @@ _TENSOR = {"dim": (int,), "axes": [[{IN, OUT}, _LABEL]], "data": [None]}
 
 def from_obj(obj) -> Tensor:
     if not (all_fit([obj], _TENSOR) and {"dim", "axes", "data"} <= set(obj)):
-        raise InvalidTensor("%.80r is no {dim, axes: [[in|out, label]], data}" % (obj,))
+        raise InvalidTensor("%.80r does not fit {dim, axes: [[in|out, label]], data}"
+                            % (misfit(obj, _TENSOR),))
     return Tensor(obj["dim"], obj["axes"], obj["data"])
 
 

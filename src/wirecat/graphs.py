@@ -328,6 +328,7 @@ def corolla(in_labels: Iterable[str], out_labels: Iterable[str]) -> DirectedGrap
         for a in sorted(labels, key=label_key):
             n = len(lam)
             delta[n], lam[n] = sign, a
+    # Every leg is a boundary leg labelled as its flag: one dict is both maps.
     g = DirectedGraph._trusted([list(lam)], (), {}, {}, delta, lam, lam, 0)
     if len(set(zip(delta.values(), lam.values()))) < len(lam):  # a label repeats
         raise InvalidGraph(g.validate())

@@ -300,10 +300,10 @@ def misfit(obj, shape):
     have, and otherwise the list or object that holds the failing value."""
     while True:
         if isinstance(shape, dict) and isinstance(obj, dict):
-            unknown = [k for k in obj if shape and k not in shape]
+            unknown = [k for k in obj if k not in shape]
             if unknown:
                 return {unknown[0]: obj[unknown[0]]}
-            parts = [(obj[k], shape[k]) for k in obj if k in shape]
+            parts = [(obj[k], shape[k]) for k in obj]
         elif isinstance(shape, list) and len(shape) == 1 and isinstance(obj, list):
             parts = [(x, shape[0]) for x in obj]
         else:

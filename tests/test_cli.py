@@ -88,16 +88,17 @@ REPEATED = [
 ]
 
 # Shape faults deep in an input, with the part of it that the message shows.
-DEEP_FAULTS = {
-    '{"vertices": [[0, 1], [2, 3], [4, 5]], "delta": [[0, 1], [1, -1], [2, 1], '
-    '[3, -1], [4, 1], [5, true]], "lambda": [[0, "a"], [1, "b"], [2, "a"], [3, "b"], '
-    '[4, "a"], [5, "b"]], "iota": [[1, 2], [3, 4]], "beta": [[0, "a"], [5, "b"]]}':
-        "[5, True]",
-    '{"output": {"out": ["a"], "in": ["b"]}, "inputs": [{"out": ["b"], "in": ["a"]}], '
-    '"matching": [[[0, "out", "a"], [1, "in", "a"]], [[1, "out", "b"], [0, "in", true]]], '
-    '"circles": 0}':
-        "[[1, 'out', 'b'], [0, 'in', True]]",
-}
+DEEP_FAULTS = [
+    ("graph", '{"vertices": [[0, 1], [2, 3], [4, 5]], "delta": [[0, 1], [1, -1], [2, 1], '
+              '[3, -1], [4, 1], [5, true]], "lambda": [[0, "a"], [1, "b"], [2, "a"], '
+              '[3, "b"], [4, "a"], [5, "b"]], "iota": [[1, 2], [3, 4]], '
+              '"beta": [[0, "a"], [5, "b"]]}', "[5, True]"),
+    ("wd", '{"output": {"out": ["a"], "in": ["b"]}, "inputs": [{"out": ["b"], "in": ["a"]}], '
+           '"matching": [[[0, "out", "a"], [1, "in", "a"]], [[1, "out", "b"], [0, "in", true]]], '
+           '"circles": 0}', "[[1, 'out', 'b'], [0, 'in', True]]"),
+    ("tensor", '{"dim": 1, "axes": [["in", "a"], ["in", "b"], ["in", "c"], ["out", "d"], '
+               '["out", "e"], ["out", true]], "data": ["1"]}', "['out', True]"),
+]
 
 
 @pytest.mark.parametrize("kind, text", [
@@ -143,7 +144,7 @@ DEEP_FAULTS = {
     ("graph", ONE_FLAG % ("[0]", "[0, true]", '[0, "a"]', '[0, "x"]')),
     ("graph", ONE_FLAG % ("[0]", "[0, 1.0]", '[0, "a"]', '[0, "x"]')),
     *[(kind, text) for kind, text, _, _ in REPEATED],
-    *zip(("graph", "wd"), DEEP_FAULTS),
+    *[(kind, text) for kind, text, _ in DEEP_FAULTS],
 ])
 def test_malformed_input_names_its_error(kind, text, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
@@ -152,7 +153,7 @@ def test_malformed_input_names_its_error(kind, text, monkeypatch, capsys):
     assert not out
     msg = json.loads(err)
     assert issubclass(getattr(errors, msg["error"]), errors.WirecatError)
-    assert DEEP_FAULTS.get(text, "") in msg["message"]
+    assert all(part in msg["message"] for _, t, part in DEEP_FAULTS if t == text)
 
 
 @pytest.mark.parametrize("ins, twice, never", [
