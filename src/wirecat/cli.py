@@ -36,13 +36,18 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _array(x, d: int, depth: int):
-    """``x`` as ``depth`` nested lists of ``d`` exact rationals each."""
+def _array(x, d: int, depth: int, name: str):
+    """``x`` as ``depth`` nested lists of ``d`` exact rationals each.  An error
+    names the entry at fault by ``name`` and its index path, as ``name[i][j]``."""
     if not depth:
-        return endo.rational(x)
+        try:
+            return endo.rational(x)
+        except InvalidTensor as exc:
+            raise InvalidTensor("%s: %s" % (name, exc)) from None
     if not (isinstance(x, list) and len(x) == d):
-        raise InvalidTensor("%.80r is no array of shape %r of rationals" % (x, (d,) * depth))
-    return [_array(y, d, depth - 1) for y in x]
+        raise InvalidTensor("%s: %.80r is no array of shape %r of rationals"
+                            % (name, x, (d,) * depth))
+    return [_array(y, d, depth - 1, "%s[%d]" % (name, k)) for k, y in enumerate(x)]
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -126,7 +131,7 @@ def cmd_eval(args):
     g, decor = wprop.decorated_from_obj(obj)
     raw = json.loads(_read(args.bindings))
     if not wiring.all_fit([raw], {}):
-        raise InvalidTensor("bindings %.80r are no {symbol: nested array}" % (raw,))
+        raise InvalidTensor("bindings are a %s, not a {symbol: nested array}" % type(raw).__name__)
     arity = {}
     for sym, ins, outs in decor:
         if arity.setdefault(sym, (len(ins), len(outs))) != (len(ins), len(outs)):
@@ -135,7 +140,8 @@ def cmd_eval(args):
     if not set(arity) <= set(raw):
         raise ArityMismatch("no binding for generators %r"
                             % sorted(set(arity) - set(raw), key=repr))
-    bind = {sym: _array(raw[sym], args.dim, n + m) for sym, (n, m) in arity.items()}
+    bind = {sym: _array(raw[sym], args.dim, n + m, "binding %r" % (sym,))
+            for sym, (n, m) in arity.items()}
     _write(endo.to_json(endo.evaluate_decorated(g, decor, bind, args.dim)))
     return 0
 
@@ -156,8 +162,8 @@ def _load_bracket(path):
     """A bracket file's nested (d, d, d) list of exact rationals, and d."""
     raw = json.loads(_read(path))
     if not (isinstance(raw, list) and raw):
-        raise InvalidTensor("%.80r is no array of shape (d, d, d) of rationals" % (raw,))
-    return _array(raw, len(raw), 3), len(raw)
+        raise InvalidTensor("bracket %.80r is no array of shape (d, d, d) of rationals" % (raw,))
+    return _array(raw, len(raw), 3, "bracket"), len(raw)
 
 
 def cmd_killing(args):

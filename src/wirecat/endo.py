@@ -39,7 +39,9 @@ def check_dim(dim):
 
 
 def _lowest(num, den):
-    """``(num, den)`` for the entries ``num / den``, in lowest terms."""
+    """``(num, den)`` for the entries ``num / den``, in lowest terms, as an
+    array (numpy gives an ``int`` for an outer product or trace of scalars)."""
+    num = np.asarray(num, dtype=object)
     common = math.gcd(den, *num.flat)
     if common == 1:
         return num, den
@@ -49,11 +51,16 @@ def _lowest(num, den):
 class Tensor:
     """A dense exact-rational tensor with named, canonically ordered axes.
 
-    Entry k is ``num[k] / den``: ``num`` is an object array of Python ``int``s
-    and ``den`` one positive ``int``, in lowest terms (their gcd is 1, and a
-    zero tensor has ``den`` 1).  ``axes`` names the axes of ``num`` in order;
-    on construction the axes are sorted and the numerators transposed to
-    match, so equal tensors have equal representations.
+    Entry k is ``num[k] / den``: ``num`` is a read-only object array of Python
+    ``int``s and ``den`` one positive ``int``, in lowest terms (their gcd is 1,
+    and a zero tensor has ``den`` 1).  ``axes`` names the axes of ``num`` in
+    order, sorted by ``repr``, so equal tensors have equal representations.
+
+    ``Tensor(...)`` and ``_exact`` check the dim, distinct axes and entry
+    count.  ``_trusted`` trusts its caller and only sorts: ``tensor_product``
+    and ``trace_contract`` have checked dims, clashes, the cap and the axes
+    they drop, and bring their results to lowest terms; ``rename_axes`` keeps
+    its entries and checks only that no two axes merge.
     """
 
     __slots__ = ("dim", "axes", "num", "den")
@@ -72,6 +79,13 @@ class Tensor:
         t._set(dim, axes, num, den)
         return t
 
+    @classmethod
+    def _trusted(cls, dim: int, axes, num, den: int) -> "Tensor":
+        """A result whose caller vouches for every check of ``_set``."""
+        t = cls.__new__(cls)
+        t._place(dim, axes, num, den)
+        return t
+
     def _set(self, dim, axes, num, den):
         check_dim(dim)
         axes = [tuple(a) for a in axes]
@@ -81,10 +95,15 @@ class Tensor:
         if arr.size != dim ** len(axes):
             raise ArityMismatch("%d entries for %d axes of dim %d" % (arr.size, len(axes), dim))
         arr, den = _lowest(arr, den)
-        order = sorted(range(len(axes)), key=lambda k: repr(axes[k]))
-        self.dim, self.axes, self.den = dim, tuple(axes[k] for k in order), den
-        self.num = arr.reshape((dim,) * len(axes)).transpose(order)
-        self.num.flags.writeable = False
+        self._place(dim, axes, arr.reshape((dim,) * len(axes)), den)
+
+    def _place(self, dim, axes, num, den):
+        keys = [repr(a) for a in axes]
+        order = sorted(range(len(axes)), key=keys.__getitem__)
+        if order != list(range(len(axes))):
+            axes, num = [axes[k] for k in order], num.transpose(order)
+        self.dim, self.axes, self.num, self.den = dim, tuple(axes), num, den
+        num.flags.writeable = False
 
     @property
     def data(self):
@@ -133,7 +152,9 @@ class Tensor:
         """Rename axis keys by a partial map (pol, label) -> (pol, label)."""
         mapping = {tuple(k): tuple(v) for k, v in dict(mapping).items()}
         new_axes = [mapping.get(a, a) for a in self.axes]
-        return Tensor._exact(self.dim, new_axes, self.num, self.den)
+        if len(set(new_axes)) != len(new_axes):
+            raise LabelClash("duplicate axis keys in %r" % (new_axes,))
+        return Tensor._trusted(self.dim, new_axes, self.num, self.den)
 
 
 def scalar_tensor(d: int, value=1) -> Tensor:
@@ -154,17 +175,17 @@ def tensor_product(s: Tensor, t: Tensor, cap_power: int = DEFAULT_CAP_POWER) -> 
     if len(s.axes) + len(t.axes) > cap_power:
         raise SizeCapExceeded("%d axes exceeds cap of %d"
                               % (len(s.axes) + len(t.axes), cap_power))
-    num = np.multiply.outer(s.num, t.num)
-    return Tensor._exact(s.dim, list(s.axes) + list(t.axes), num, s.den * t.den)
+    num, den = _lowest(np.multiply.outer(s.num, t.num), s.den * t.den)
+    return Tensor._trusted(s.dim, s.axes + t.axes, num, den)
 
 
 def trace_contract(t: Tensor, i: str, j: str) -> Tensor:
     """Contract the in-axis labelled ``i`` against the out-axis labelled ``j``."""
     a1 = t.axis_pos((IN, i))
     a2 = t.axis_pos((OUT, j))
-    num = t.num.diagonal(axis1=a1, axis2=a2).sum(axis=-1)
+    num, den = _lowest(t.num.diagonal(axis1=a1, axis2=a2).sum(axis=-1), t.den)
     axes = [a for k, a in enumerate(t.axes) if k not in (a1, a2)]
-    return Tensor._exact(t.dim, axes, num, t.den)
+    return Tensor._trusted(t.dim, axes, num, den)
 
 
 # -- graph evaluation --------------------------------------------------------

@@ -198,6 +198,7 @@ def random_decorated_element(rng: random.Random, in_labels, out_labels,
 
 
 _N, _D, _DEN = 9, 4, 12  # numerators in -_N.._N, denominators in 1.._D, all dividing _DEN
+_N_BITS, _D_BITS = (2 * _N + 1).bit_length(), _D.bit_length()  # of the ranges' sizes
 
 
 def random_fraction(rng: random.Random) -> Fraction:
@@ -206,8 +207,18 @@ def random_fraction(rng: random.Random) -> Fraction:
 
 def random_tensor(rng: random.Random, d: int, in_labels: Sequence,
                   out_labels: Sequence) -> Tensor:
+    """Entries drawn as ``random_fraction``'s ``rng.randint`` calls draw them in
+    CPython 3.10-3.12: ``getrandbits``, redrawn until it falls in the range."""
     axes = [(IN, l) for l in in_labels] + [(OUT, l) for l in out_labels]
-    num = [rng.randint(-_N, _N) * (_DEN // rng.randint(1, _D)) for _ in range(d ** len(axes))]
+    bits, num = rng.getrandbits, []
+    for _ in range(d ** len(axes)):
+        a = bits(_N_BITS)
+        while a > 2 * _N:
+            a = bits(_N_BITS)
+        b = bits(_D_BITS)
+        while b >= _D:
+            b = bits(_D_BITS)
+        num.append((a - _N) * (_DEN // (b + 1)))
     return Tensor._exact(d, axes, num, _DEN)
 
 

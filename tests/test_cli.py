@@ -286,14 +286,20 @@ def test_negative_loop_count_is_named_as_such(monkeypatch, capsys):
     assert "LoopCount: -1" in message and "flag" not in message
 
 
-@pytest.mark.parametrize("eval_input, bindings", [
-    ({}, None),
-    ("two-item decoration", None),
-    (None, []),
-    (None, {}),
-    (None, {"br": [[["1"]], [["1", "2"]]]}),
+_EIGHTS = [[[str(k) for k in range(1, 9)] for _ in range(8)] for _ in range(8)]
+_EIGHTS[7][7][7] = True
+
+
+@pytest.mark.parametrize("eval_input, bindings, dim, named", [
+    ({}, None, 3, None),
+    ("two-item decoration", None, 3, None),
+    (None, [], 3, "bindings are a list,"),
+    (None, {}, 3, None),
+    (None, {"br": [[["1"]], [["1", "2"]]]}, 3, "binding 'br': [[['1']], "),
+    (None, {"br": _EIGHTS}, 8, "binding 'br'[7][7][7]: True is inexact"),
 ])
-def test_eval_input_shape_names_its_error(eval_input, bindings, tmp_path, capsys):
+def test_eval_input_shape_names_its_error(eval_input, bindings, dim, named, tmp_path,
+                                          capsys):
     [(_, g, decor)] = list(lie.kappa_element(2).terms.values())
     decor = [[sym, list(ins), list(outs)] for sym, ins, outs in decor]
     if eval_input == "two-item decoration":
@@ -302,11 +308,12 @@ def test_eval_input_shape_names_its_error(eval_input, bindings, tmp_path, capsys
         {"graph": graphs.to_obj(g), "decor": decor} if eval_input is None else eval_input))
     (tmp_path / "b.json").write_text(json.dumps(
         {"br": lie.sl2_bracket()} if bindings is None else bindings, default=str))
-    assert cli.main(["eval", "--dim", "3", str(tmp_path / "g.json"),
+    assert cli.main(["eval", "--dim", str(dim), str(tmp_path / "g.json"),
                      str(tmp_path / "b.json")]) == 1
     out, err = capsys.readouterr()
     assert not out
     assert issubclass(getattr(errors, json.loads(err)["error"]), errors.WirecatError)
+    assert named is None or named in json.loads(err)["message"]
 
 
 @pytest.mark.parametrize("bracket", [[[1]], [[1, 2, 3, 4], [5, 6, 7, 8]],

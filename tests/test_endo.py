@@ -294,6 +294,7 @@ def operation_results():
         halves + halves,
         s + s.scale(-1),
         s.rename_axes({(IN, "a"): (IN, "z")}),
+        s.rename_axes({(IN, "a"): (OUT, "z")}),
         endo.evaluate_graph(ring, [random_tensor(rng, d, ["c", "x"], ["y"])
                                    for _ in range(3)], d),
         endo.evaluate_graph(chain_graph(), [mat_to_tensor([[1, 2], [3, 4]], d, "a", "m"),
@@ -316,6 +317,36 @@ def test_results_are_in_lowest_terms():
         assert all(type(n) is int for n in r.num.flat), r
         assert type(r.den) is int and r.den > 0, r
         assert math.gcd(r.den, *r.num.flat) == 1, r
+
+
+def test_results_are_canonical():
+    rng = random.Random(51)
+    for r in operation_results():
+        assert list(r.axes) == sorted(r.axes, key=repr), r
+        assert not r.num.flags.writeable, r
+        order = rng.sample(range(len(r.axes)), len(r.axes))
+        again = Tensor(r.dim, [r.axes[k] for k in order], r.data.transpose(order))
+        assert again == r and endo.to_json(again) == endo.to_json(r), r
+        assert (again.num.tolist(), again.den) == (r.num.tolist(), r.den), r
+
+
+def reference_random_tensor(rng, d, in_labels, out_labels):
+    """``random_tensor`` by two ``rng.randint`` calls per entry."""
+    axes = [(IN, l) for l in in_labels] + [(OUT, l) for l in out_labels]
+    entries = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d ** len(axes))]
+    return Tensor(d, axes, entries)
+
+
+def test_random_tensor_draws_as_randint_does():
+    shapes = [(n, m) for n in range(5) for m in range(5 - n)]
+    for seed in range(200):
+        n, m = shapes[seed % len(shapes)]
+        ins, outs = ["x%d" % k for k in range(n)], ["y%d" % k for k in range(m)]
+        for d in (1, 2, 3):
+            got, want = random.Random(seed), random.Random(seed)
+            assert random_tensor(got, d, ins, outs) == \
+                reference_random_tensor(want, d, ins, outs), (seed, d)
+            assert got.random() == want.random(), (seed, d)
 
 
 def test_equal_tensors_have_one_representation():
