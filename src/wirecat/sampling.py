@@ -198,7 +198,7 @@ def random_decorated_element(rng: random.Random, in_labels, out_labels,
 
 
 _N, _D, _DEN = 9, 4, 12  # numerators in -_N.._N, denominators in 1.._D, all dividing _DEN
-_N_BITS, _D_BITS = (2 * _N + 1).bit_length(), _D.bit_length()  # of the ranges' sizes
+_N_BITS, _D_BITS = (2 * _N + 1).bit_length(), _D.bit_length()  # the ranges' sizes' bit lengths
 
 
 def random_fraction(rng: random.Random) -> Fraction:
