@@ -141,16 +141,18 @@ def _nf(t) -> Dict[Word, int]:
     [l, r] with that letter in r they are the words u.v, u from the expansion
     of l and v from the normal form of r, as every word of r.l ends in a
     letter of l.  With the letter in l, [l, r] = -[r, l].
+
+    Both largest letters come off those words: any word of l's expansion
+    holds every letter of l, and every word of r's normal form ends in r's
+    largest letter.
     """
     if isinstance(t, int):
         return {(t,): 1}
     l, r = t
-    sign = 1
-    if max(tree_letters(l)) > max(tree_letters(r)):
-        l, r, sign = r, l, -1
-    right = _nf(r).items()
-    return {u + v: sign * a * b
-            for u, a in _expand(l).items() for v, b in right}
+    left, right = _expand(l), _nf(r)
+    if max(next(iter(left))) > next(iter(right))[-1]:
+        return {w: -c for w, c in _nf((r, l)).items()}
+    return {u + v: a * b for u, a in left.items() for v, b in right.items()}
 
 
 def normalize(trees) -> Dict[Word, Fraction]:
@@ -213,13 +215,22 @@ def _sorted_trees(letters: Tuple[int, ...]):
 
 
 def lie_dim(n: int, bound: Optional[int] = None) -> int:
-    """Rank of the span of all multilinear bracketings after normalization."""
+    """Rank of the span of all multilinear bracketings after normalization.
+
+    The loop stops once the rank is (n-1)!.  Every normal form of a tree of
+    1..n is supported on the basis words, the (n-1)! words of 1..n that end
+    in n, so the span lies in a space of dimension (n-1)!; at rank (n-1)! it
+    is that whole space, and no further tree can change the rank.
+    """
     limit = bound if bound is not None else DEFAULT_LIE_BOUND
     if not 1 <= n <= limit:
         raise BoundExceeded("n=%d outside 1..%d" % (n, limit))
+    full = math.factorial(n - 1)
     elim = Eliminator()
     for t in _sorted_trees(tuple(range(1, n + 1))):
         elim.add(_nf(t))
+        if elim.rank == full:
+            break
     return elim.rank
 
 

@@ -659,3 +659,36 @@ def test_saturation_leaves_rank_and_pivots_unchanged(monkeypatch):
     assert fast[4].dim == 0 < fast[4]._residues.rank
     for n in range(1, 6):
         assert lie_dim(n) == ranks[n]
+
+
+# -- the full-rank stop --------------------------------------------------------
+
+def test_lie_dim_stops_at_full_rank(monkeypatch):
+    # The rank reaches 5! = 120 after 473 of the 945 trees of 1..6; no later
+    # tree is offered.
+    offered = []
+
+    class Offered(Eliminator):
+        def add(self, row):
+            offered.append(row)
+            return super().add(row)
+
+    monkeypatch.setattr(lie, "Eliminator", Offered)
+    assert lie_dim(6) == 120
+    assert len(offered) == 473
+
+
+def test_lie_dim_is_the_rank_of_every_sorted_tree():
+    for n in range(1, 7):
+        plain = PlainEliminator()
+        for t in lie._sorted_trees(tuple(range(1, n + 1))):
+            plain.add(normalize(t))
+        assert lie_dim(n) == plain.rank, n
+
+
+def test_nf_reads_no_letter_lists(monkeypatch):
+    def refused(t):
+        raise AssertionError("tree_letters(%r)" % (t,))
+
+    monkeypatch.setattr(lie, "tree_letters", refused)
+    assert lie_dim(6) == 120

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wirecat import endo, translate, wiring, wprop
 from wirecat.errors import (
@@ -27,7 +28,7 @@ from wirecat.sampling import (
     random_tensor,
     random_wiring_diagram,
 )
-from wirecat.wiring import IN, OUT, Interface
+from wirecat.wiring import IN, OUT, Interface, WiringDiagram, label_key
 from wirecat.wprop import (
     EndoWheeledProp,
     FreeElement,
@@ -185,6 +186,81 @@ def test_flatten_unit_generators_inner():
                                          ((sym, ins, outs),))])
                 for sym, ins, outs in decor]
         assert flatten(g, args) == e.scale(Fraction(1, coeff))
+
+
+# -- the monad laws on drawn nestings -----------------------------------------
+
+@st.composite
+def graphs_with_boundary(draw, ins, outs, max_vertices=2, max_legs=2):
+    """A graph with boundary (ins, outs), translated from a diagram with that
+    output: each box's leg counts are drawn, the side short of endpoints is
+    topped up box by box (a box is added when all are full), and the
+    matching and the circles are drawn."""
+    counts = [[draw(st.integers(0, max_legs)) for _ in (OUT, IN)]
+              for _ in range(draw(st.integers(0, max_vertices)))]
+    gap = len(ins) + sum(c[0] for c in counts) - len(outs) - sum(c[1] for c in counts)
+    short = 1 if gap > 0 else 0
+    for _ in range(abs(gap)):
+        room = [c for c in counts if c[short] < max_legs]
+        if not room:
+            counts.append([0, 0])
+            room = counts[-1:]
+        room[0][short] += 1
+    boxes = [Interface(ins, outs)] + [
+        Interface(["c%d" % k for k in range(o)], ["d%d" % k for k in range(i)])
+        for o, i in counts]
+    out_eps = [(k, OUT, a) for k, box in enumerate(boxes)
+               for a in sorted(box.out_labels, key=label_key)]
+    in_eps = draw(st.permutations([(k, IN, a) for k, box in enumerate(boxes)
+                                   for a in sorted(box.in_labels, key=label_key)]))
+    return translate.wd_to_graph(WiringDiagram(
+        boxes[0], boxes[1:], dict(zip(out_eps, in_eps)), draw(st.integers(0, 1))))
+
+
+@st.composite
+def one_term_elements(draw, ins, outs):
+    """A one-term element with boundary (ins, outs): a drawn graph, a drawn
+    nonzero coefficient and a drawn symbol e0..e3 on each vertex."""
+    g = draw(graphs_with_boundary(sorted(ins, key=label_key),
+                                  sorted(outs, key=label_key)))
+    decor = []
+    for v in range(1, g.r + 1):
+        vins, vouts = (tuple(sorted(s, key=label_key)) for s in g.neighbourhood(v))
+        decor.append(("e%d" % draw(st.integers(0, 3)), vins, vouts))
+    coeff = Fraction(draw(st.sampled_from([-3, -1, 1, 2])), draw(st.integers(1, 3)))
+    return FreeElement(ins, outs, [(coeff, g, tuple(decor))])
+
+
+@st.composite
+def two_level_nestings(draw):
+    """(outer graph, per-vertex middle graphs, per-vertex inner elements), the
+    shape ``sample_two_level`` draws, with every part drawn here."""
+    g = draw(graphs_with_boundary(["p0"], ["q0"]))
+    mids, inners = {}, {}
+    for v in range(1, g.r + 1):
+        ins, outs = (sorted(s, key=label_key) for s in g.neighbourhood(v))
+        mids[v] = draw(graphs_with_boundary(ins, outs))
+        inners[v] = [draw(one_term_elements(*mids[v].neighbourhood(w)))
+                     for w in range(1, mids[v].r + 1)]
+    return g, mids, inners
+
+
+@given(two_level_nestings())
+def test_monad_laws_on_drawn_nestings(nesting):
+    # Associativity; then the units: the corolla on an element's boundary
+    # outside it, and the corollas of a term's own generators inside it.
+    g, mids, inners = nesting
+    middles = [flatten(mids[v], inners[v]) for v in range(1, g.r + 1)]
+    flat_inners = [e for v in range(1, g.r + 1) for e in inners[v]]
+    assert flatten(g, middles) == flatten(substitute_all(g, mids), flat_inners)
+    for e in middles + flat_inners:
+        assert flatten(corolla(*e.boundary()), [e]) == e
+    for e in flat_inners:
+        [(coeff, h, decor)] = list(e.terms.values())
+        args = [FreeElement(ins, outs, [(1, corolla(ins, outs),
+                                         ((sym, ins, outs),))])
+                for sym, ins, outs in decor]
+        assert flatten(h, args) == e.scale(Fraction(1, coeff))
 
 
 def test_axiom_suite_free():
