@@ -140,11 +140,9 @@ def _nf(t) -> Dict[Word, int]:
     expansion's coefficients on the words ending in its largest letter.  For
     [l, r] with that letter in r they are the words u.v, u from the expansion
     of l and v from the normal form of r, as every word of r.l ends in a
-    letter of l.  With the letter in l, [l, r] = -[r, l].
-
-    Both largest letters come off those words: any word of l's expansion
-    holds every letter of l, and every word of r's normal form ends in r's
-    largest letter.
+    letter of l.  With the letter in l, [l, r] = -[r, l].  Both largest
+    letters come off those words: any word of l's expansion holds every
+    letter of l, and every word of r's normal form ends in r's largest one.
     """
     if isinstance(t, int):
         return {(t,): 1}
@@ -217,10 +215,9 @@ def _sorted_trees(letters: Tuple[int, ...]):
 def lie_dim(n: int, bound: Optional[int] = None) -> int:
     """Rank of the span of all multilinear bracketings after normalization.
 
-    The loop stops once the rank is (n-1)!.  Every normal form of a tree of
-    1..n is supported on the basis words, the (n-1)! words of 1..n that end
-    in n, so the span lies in a space of dimension (n-1)!; at rank (n-1)! it
-    is that whole space, and no further tree can change the rank.
+    Every normal form of a tree of 1..n lies on the (n-1)! basis words, the
+    words of 1..n that end in n, so at rank (n-1)! the span is all of them
+    and no further tree can change the rank: the loop stops there.
     """
     limit = bound if bound is not None else DEFAULT_LIE_BOUND
     if not 1 <= n <= limit:

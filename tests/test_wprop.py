@@ -221,8 +221,7 @@ def graphs_with_boundary(draw, ins, outs, max_vertices=2, max_legs=2):
 def one_term_elements(draw, ins, outs):
     """A one-term element with boundary (ins, outs): a drawn graph, a drawn
     nonzero coefficient and a drawn symbol e0..e3 on each vertex."""
-    g = draw(graphs_with_boundary(sorted(ins, key=label_key),
-                                  sorted(outs, key=label_key)))
+    g = draw(graphs_with_boundary(ins, outs))
     decor = []
     for v in range(1, g.r + 1):
         vins, vouts = (tuple(sorted(s, key=label_key)) for s in g.neighbourhood(v))
@@ -238,8 +237,7 @@ def two_level_nestings(draw):
     g = draw(graphs_with_boundary(["p0"], ["q0"]))
     mids, inners = {}, {}
     for v in range(1, g.r + 1):
-        ins, outs = (sorted(s, key=label_key) for s in g.neighbourhood(v))
-        mids[v] = draw(graphs_with_boundary(ins, outs))
+        mids[v] = draw(graphs_with_boundary(*g.neighbourhood(v)))
         inners[v] = [draw(one_term_elements(*mids[v].neighbourhood(w)))
                      for w in range(1, mids[v].r + 1)]
     return g, mids, inners
