@@ -271,12 +271,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Exact numbers may pass Python's limit on int-string conversion, if it has one.
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except (WirecatError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         sys.stderr.write(_dump({"error": type(exc).__name__,
                                 "message": str(exc)}) + "\n")
         return 1
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

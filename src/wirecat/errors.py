@@ -89,7 +89,7 @@ class DimMismatch(WirecatError):
 
 
 class SizeCapExceeded(WirecatError):
-    """A tensor operation would exceed the configured entry cap."""
+    """A tensor operation would build more axes than its ``cap_power`` allows."""
 
 
 # -- free Lie / trace spaces -------------------------------------------------

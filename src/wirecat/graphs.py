@@ -206,76 +206,39 @@ def _dense(values):
 
 def _labelling(records, colours: Sequence[int]) -> List[int]:
     """A canonical vertex order (0-based) of ``g``, given as its vertex records
-    ``canonical_form(g)[0]``, with initial vertex colours ``colours``, by
-    individualisation and refinement (McKay & Piperno, "Practical graph
-    isomorphism II", 2014): refinement splits colour classes by the colours at
-    the far ends of each vertex's edges until nothing splits, and the search
-    individualises in turn each vertex of the tied cell with the smallest
-    colour.  The least leaf by (cell structures on its path, certificate)
-    wins.  Tied leaves reveal automorphisms; those that fix the path to a node
-    prune its children.
+    ``canonical_form(g)[0]``, with vertex colours ``colours``, by rooted walks
+    (Weinberg, IEEE Trans. Circuit Theory, 1966).
+
+    Port labels are injective on each vertex and direction, so a vertex's
+    records come in an order its local rank fixes, and an isomorphism that
+    sends u to u' sends the mate across each port of u to the mate across the
+    same port of u': fixing one vertex's image forces it along every edge of
+    the component.  So a breadth-first walk that reads the records in order
+    numbers a component alike from any two roots an isomorphism matches, and
+    its encoding (each vertex's local rank and mate positions) determines the
+    component.  The least walk over the roots of least local rank is
+    canonical, and so are the components in the order of their walks; tied
+    walks differ by an automorphism and give one key.
     """
-    vertices = range(len(records))
-    local = _dense([repr((colours[v], [r[:4] for r in records[v]])) for v in vertices])
-    mates = [[r[4] for r in records[v] if r[2] == "e"] for v in vertices]
-    best, autos = [], []
+    local = _dense([repr((c, [r[:4] for r in rec])) for c, rec in zip(colours, records)])
+    mates = [[r[4] for r in rec if r[2] == "e"] for rec in records]
 
-    def refine(col):
-        while True:
-            new = _dense([(col[v], tuple(col[w] for w in mates[v])) for v in vertices])
-            if len(set(new)) == len(set(col)):
-                return new
-            col = new
+    def walk(root):
+        order, position = [root], {root: 0}
+        for u in order:
+            for w in mates[u]:
+                if w not in position:
+                    position[w] = len(order)
+                    order.append(w)
+        return [(local[u], [position[w] for w in mates[u]]) for u in order], order
 
-    def search(col, trace, path):
-        """Explore the node ``path``; return the depth to carry on at."""
-        if best and trace > best[0][0][:len(trace)]:
-            return len(path)
-        cells = [list(cell) for _, cell in itertools.groupby(
-            sorted(vertices, key=col.__getitem__), col.__getitem__)]
-        tied = [cell for cell in cells if len(cell) > 1]
-        if not tied:  # col[v] is the position of v
-            order = [cell[0] for cell in cells]
-            key = (trace, [(local[v], [col[w] for w in mates[v]]) for v in order])
-            if not best or key < best[0]:
-                best[:] = key, order, path
-            if key != best[0] or order == best[1]:
-                return len(path)
-            # An automorphism: it fixes the node where this path leaves the
-            # best one, and maps the explored child there to this path's.
-            autos.append([w for _, w in sorted(zip(best[1], order))])
-            return next(k for k, (v, w) in enumerate(zip(path, best[2])) if v != w)
-        children, seen = [], set()
-        for v in tied[0]:
-            if v not in seen:  # one child per orbit of the known automorphisms
-                seen |= _orbit([v], autos, path)
-                child = refine([2 * c + (u != v) for u, c in enumerate(col)])
-                children.append((tuple(sorted(child)), v, child))
-        done, seen = [], set()
-        for cells, v, child in sorted(children):
-            if v not in seen:
-                back = search(child, trace + (cells,), path + [v])
-                if back < len(path):
-                    return back
-                done.append(v)
-                seen = _orbit(done, autos, path)
-        return len(path)
-
-    col = refine(local)
-    search(col, (tuple(sorted(col)),), [])
-    return best[1]
-
-
-def _orbit(points, autos, fixed):
-    """The orbit of ``points`` under the automorphisms that fix ``fixed``."""
-    gens = [a for a in autos if all(a[p] == p for p in fixed)]
-    seen, todo = set(points), list(points)
-    while todo:
-        x = todo.pop()
-        new = {a[x] for a in gens} - seen
-        seen |= new
-        todo += new
-    return seen
+    walks, seen = [], set()
+    for v in sorted(range(len(records)), key=local.__getitem__):
+        if v not in seen:  # so no vertex of its component has a lesser local rank
+            component = walk(v)[1]
+            seen.update(component)
+            walks.append(min(walk(u) for u in component if local[u] == local[v]))
+    return [v for _, order in sorted(walks) for v in order]
 
 
 def is_isomorphic_strict(g: DirectedGraph, h: DirectedGraph) -> bool:

@@ -818,6 +818,45 @@ def test_tensor_command_goldens(cmd, tmp_path, capsys):
     assert digest.hexdigest() == TENSOR_GOLDENS[cmd]
 
 
+def decimal(text):
+    """The value of the decimal string ``text``, read in pieces short enough
+    for Python's limit on int-string conversion."""
+    value = 0
+    for k in range(0, len(text), 1000):
+        value = value * 10 ** len(text[k:k + 1000]) + int(text[k:k + 1000])
+    return value
+
+
+@pytest.mark.parametrize("cmd", ["eval", "compose-free", "validate"])
+def test_exact_results_have_no_digit_limit(cmd, tmp_path, capsys):
+    # Each input reads or prints an integer of more than 4,300 digits.
+    c = "7" * 3000
+    for name, (i, o) in (("a", ("a", "b")), ("b", ("c", "d"))):
+        graph = {"exceptional": [0, 1], "pi": [[0, 1]], "delta": [[0, 1], [1, -1]],
+                 "beta": [[0, i], [1, o]]}
+        (tmp_path / (name + ".json")).write_text(json.dumps(
+            {"in": [i], "out": [o], "terms": [{"coeff": c, "graph": graph, "decor": []}]}))
+    (tmp_path / "loops.json").write_text('{"graph": {"loops": 20000}, "decor": []}')
+    (tmp_path / "none.json").write_text("{}")
+    (tmp_path / "big.json").write_text('{"loops": %s}' % ("9" * 5000))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    argv = {"eval": ["eval", "--dim", "2", "loops.json", "none.json"],
+            "compose-free": ["compose-free", "--at-in", "a", "--at-out", "d",
+                             "a.json", "b.json"],
+            "validate": ["validate", "--type", "graph", "big.json"]}[cmd]
+    assert cli.main([str(tmp_path / x) if x.endswith(".json") else x for x in argv]) == 0
+    out = json.loads(capsys.readouterr().out)
+    if cmd == "eval":
+        assert [decimal(x) for x in out["data"]] == [2 ** 20000]
+    elif cmd == "compose-free":
+        assert (out["in"], out["out"]) == (["c"], ["b"])
+        assert decimal(out["terms"][0]["coeff"]) == decimal(c) ** 2
+    else:
+        assert out == {"ok": True, "type": "graph"}
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
 def test_parser_reused_across_calls(capsys):
     assert cli.main(["lie-dim", "3"]) == 0
     with pytest.raises(SystemExit) as exc:

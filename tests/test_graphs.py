@@ -177,8 +177,9 @@ def shuffled(rng, g, decor):
 def cover_graph(base_r, edges, k):
     """The k-fold cyclic cover of a closed graph on ``base_r`` vertices: its
     edge number e, ``(u, v, s)``, lifts to the edges from (u, i) to
-    (v, i + s mod k) at the ports ``o<e>`` and ``i<e>``.  Colour refinement
-    alone cannot split the k lifts of a vertex."""
+    (v, i + s mod k) at the ports ``o<e>`` and ``i<e>``.  Turning every layer
+    i to i + 1 is an automorphism, so the k lifts of a vertex tie as roots of
+    the loose key's walk: each gives the same encoding."""
     vertices = [[] for _ in range(base_r * k)]
     delta, lam, iota = {}, {}, {}
     for e, (u, v, s) in enumerate(edges):
@@ -239,7 +240,8 @@ def test_loose_key_agrees_with_brute_force_oracle():
         pool += [(g, decor), shuffled(rng, g, decor)]
     same = assert_keys_match_oracle(pool)
     for _ in range(40):
-        # Covers of one shape, alike to colour refinement.
+        # Covers of one shape: lifts of a vertex with one decoration share a
+        # local rank, so only their walks tell these roots apart.
         base_r, k = rng.choice([(1, 3), (1, 4), (1, 5), (2, 2)])
         n_edges = rng.randint(1, 3)
         decor = [rng.choice("AB") for _ in range(base_r * k)]
@@ -274,6 +276,8 @@ def test_loose_key_has_no_size_limit():
     part = cover_graph(2, [(0, 1, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], 1)
     for k in range(9, 13):
         cases.append((union([part] * k), ["A", "B"] * k))
+    cases.append((cover_graph(1, [(0, 0, 1)], 300), [None] * 300))
+    cases.append((union([cover_graph(1, [(0, 0, 1)], 3)] * 100), [None] * 300))
     for g, decor in cases:
         h, h_decor = shuffled(rng, g, decor)
         assert loose_canonical_form(g, decor) == loose_canonical_form(h, h_decor)
@@ -282,8 +286,9 @@ def test_loose_key_has_no_size_limit():
 
 
 def test_loose_key_of_cycles_of_two_lengths():
-    # Directed 6-, 3- and 3-cycles of identical vertices: the search meets a
-    # node whose trace is worse than the best leaf's and prunes it.
+    # Directed 6-, 3- and 3-cycles of identical vertices: every root of a cycle
+    # ties, and the walks of the 3- and 6-cycles agree on their first vertex,
+    # so the components sort by what the walks read further along.
     rng = random.Random(44)
     g = union([cover_graph(1, [(0, 0, 1)], n) for n in (6, 3, 3)])
     key = loose_canonical_form(g)
