@@ -27,9 +27,7 @@ def _read(path: str) -> str:
 
 
 def _write(text: str):
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+    sys.stdout.write(text + "\n")
 
 
 def _dump(obj) -> str:

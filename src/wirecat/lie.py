@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import endo, wprop
 from .errors import BoundExceeded, NotMultilinear
 
-DEFAULT_LIE_BOUND = 7
+DEFAULT_LIE_BOUND = 8
 
 Word = Tuple[int, ...]
 
@@ -45,8 +45,9 @@ class Eliminator:
     """Incremental Gaussian elimination over sparse rational rows.
 
     Rows are dicts key -> number; reduced and pivot rows hold Fractions.  The
-    pivot of a row is its smallest key in ``repr`` order, which makes runs
-    deterministic; each key's ``repr`` is computed once per eliminator.
+    pivot of a row is its least key in ``repr`` order: keys may be of mixed
+    types or bracket trees, which have no order of their own, and ``repr``
+    gives them one that is the same on every run.
 
     ``add`` keeps U, the union of the supports of the rows offered so far.
     Every row offered lies in Q^U, so their span has dimension ``rank`` inside
@@ -59,17 +60,11 @@ class Eliminator:
     def __init__(self):
         self.pivots: Dict = {}
         self._support: set = set()
-        self._repr: Dict = {}
-
-    def _pivot_key(self, row):
-        return min(row, key=self._repr.__getitem__)
 
     def reduce(self, row):
         row = {k: Fraction(v) for k, v in row.items() if v != 0}
-        for k in row.keys() - self._repr.keys():
-            self._repr[k] = repr(k)
         while row:
-            k = self._pivot_key(row)
+            k = min(row, key=repr)
             if k not in self.pivots:
                 return row
             piv = self.pivots[k]
@@ -95,7 +90,7 @@ class Eliminator:
         row = self.reduce(row)
         if not row:
             return False
-        self.pivots[self._pivot_key(row)] = row
+        self.pivots[min(row, key=repr)] = row
         return True
 
     @property
@@ -104,19 +99,6 @@ class Eliminator:
 
 
 # -- trees and normal forms ---------------------------------------------------
-
-def tree_letters(t) -> List[int]:
-    if isinstance(t, int):
-        return [t]
-    l, r = t
-    return tree_letters(l) + tree_letters(r)
-
-
-def _check_multilinear(t):
-    letters = tree_letters(t)
-    if len(letters) != len(set(letters)):
-        raise NotMultilinear("letters %r repeat" % (sorted(letters),))
-
 
 def _expand(t) -> Dict[Word, int]:
     """The associative expansion of a bracket tree, [x, y] = xy - yx; the
@@ -154,22 +136,27 @@ def _nf(t) -> Dict[Word, int]:
 
 
 def normalize(trees) -> Dict[Word, Fraction]:
-    """Normalize a tree or a {tree-or-key: coefficient} combination."""
+    """Normalize a tree or a {tree-or-key: coefficient} combination.
+
+    Every word of ``_nf(t)`` holds each leaf of ``t`` once, so a letter that
+    repeats in ``t`` repeats in its first word.
+    """
     if isinstance(trees, (int, tuple)):
         trees = {trees: 1}
     out: Dict[Word, Fraction] = {}
     for t, c in trees.items():
-        _check_multilinear(t)
+        coords = _nf(t)
+        w = next(iter(coords))
+        if len(set(w)) < len(w):
+            raise NotMultilinear("letters %r repeat" % (sorted(w),))
         c = Fraction(c)
-        for w, cc in _nf(t).items():
+        for w, cc in coords.items():
             out[w] = out.get(w, 0) + c * cc
     return {w: c for w, c in out.items() if c}
 
 
 def basis_words(n: int) -> List[Word]:
     """The right-normed basis of the n-letter multilinear Lie space."""
-    if n == 1:
-        return [(1,)]
     return [p + (n,) for p in itertools.permutations(range(1, n))]
 
 
@@ -246,19 +233,10 @@ def _relation_row(p_tree, q_tree, n1, m1):
     # w1 = p with its last input replaced by q, q's letters shifted by n1.
     q_shift = _map_letters(q_tree, lambda a: a + n1)
     w1 = _map_letters(p_tree, lambda a: q_shift if a == n1 + 1 else a)
-    # w2 = q with its last input replaced by p, p's letters shifted by m1,
-    # then the two blocks of 1..n transposed.
-    p_shift = _map_letters(p_tree, lambda a: a + m1)
-    w2 = _map_letters(q_tree, lambda a: p_shift if a == m1 + 1 else a)
-
-    def beta(a):
-        if a <= m1:
-            return a + n1
-        if a <= n:
-            return a - m1
-        return a  # the traced letter n+1
-
-    w2 = _map_letters(w2, beta)
+    # w2 = q with its last input replaced by p, in w1's letters: q's shifted
+    # by n1, whose last is then n+1, and p's last renamed n+1.
+    p_last = _map_letters(p_tree, lambda a: n + 1 if a == n1 + 1 else a)
+    w2 = _map_letters(q_shift, lambda a: p_last if a == n + 1 else a)
     row = _nf(w1)
     for w, c in _nf(w2).items():
         row[w] = row.get(w, 0) - c
@@ -353,10 +331,8 @@ def killing_eval(bracket, n: int, d: int) -> endo.Tensor:
     ``bracket`` is a nested (d,d,d) array: bracket[i][j][k] is the k-th
     coordinate of [e_i, e_j].  The result has in-axes x1..xn.
     """
-    el = kappa_element(n)
-    [(coeff, graph, decor)] = list(el.terms.values())
-    out = endo.evaluate_decorated(graph, decor, {"br": bracket}, d)
-    return out.scale(coeff) if coeff != 1 else out
+    [(_, graph, decor)] = kappa_element(n).terms.values()  # coefficient 1
+    return endo.evaluate_decorated(graph, decor, {"br": bracket}, d)
 
 
 def kappa_matrix(bracket, d: int) -> List[List[Fraction]]:

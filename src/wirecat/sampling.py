@@ -168,14 +168,11 @@ def random_graph(rng: random.Random, max_vertices: int = 3,
 
 
 def random_graph_with_boundary(rng: random.Random, in_labels, out_labels,
-                               max_vertices: int = 3, max_labels: int = 3,
-                               max_circles: int = 1) -> DirectedGraph:
+                               max_vertices: int = 3) -> DirectedGraph:
     """A random valid graph with the prescribed boundary label sets."""
-    d = random_diagram_with_output(rng, in_labels, out_labels,
-                                   max_boxes=max_vertices,
-                                   max_labels=max_labels,
-                                   max_circles=max_circles)
-    return wd_to_graph(d)
+    return wd_to_graph(random_diagram_with_output(
+        rng, in_labels, out_labels, max_boxes=max_vertices, max_labels=3,
+        max_circles=1))
 
 
 def random_decorated_element(rng: random.Random, in_labels, out_labels,

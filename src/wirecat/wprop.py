@@ -401,7 +401,7 @@ def _rename_away(w: WheeledProp, x, taken):
     fresh = _fresh_labels(len(ins) + len(outs), taken)
     f = dict(zip(sorted(ins, key=label_key), fresh[:len(ins)]))
     g = dict(zip(sorted(outs, key=label_key), fresh[len(ins):]))
-    return w.relabel(x, f, g), f, g
+    return w.relabel(x, f, g)
 
 
 def _random_bijection(rng, labels):
@@ -420,27 +420,23 @@ def axiom_suite(w: WheeledProp, sampler, trials: int = 50, rng=None) -> dict:
     if trials < 1:
         raise BoundExceeded("trials=%d: a suite of no trials checks nothing" % trials)
     rng = rng or random.Random(0)
-    report = {}
 
     def run(name, check):
-        ok, witness, n = True, None, 0
-        for t in range(trials):
-            n += 1
+        for t in range(1, trials + 1):
             try:
                 res = check(rng)
             except WirecatError as exc:
                 res = "%s: %s: %s" % (name, type(exc).__name__, exc)
             if res is not None:
-                ok, witness = False, res
-                break
-        report[name] = {"ok": ok, "trials": n, "witness": witness}
+                return {"ok": False, "trials": t, "witness": res}
+        return {"ok": True, "trials": trials, "witness": None}
 
     def sample_disjoint(rng, count):
         xs = []
         taken = set()
         for _ in range(count):
             x = sampler(rng)
-            x, _, _ = _rename_away(w, x, taken)
+            x = _rename_away(w, x, taken)
             ins, outs = w.boundary(x)
             taken |= set(ins) | set(outs)
             xs.append(x)
@@ -546,11 +542,10 @@ def axiom_suite(w: WheeledProp, sampler, trials: int = 50, rng=None) -> dict:
             if got != a:
                 return "HC2: unit not neutral for dioperadic glue at output %r" % (j,)
 
-    for name, check in (("H1", h1), ("H2", h2), ("H3", h3), ("H4", h4),
-                        ("C1", c1), ("C2", c2), ("HC1", hc1), ("HC2", hc2)):
-        run(name, check)
-    report["ok"] = all(report[k]["ok"] for k in
-                       ("H1", "H2", "H3", "H4", "C1", "C2", "HC1", "HC2"))
+    report = {name: run(name, check) for name, check in (
+        ("H1", h1), ("H2", h2), ("H3", h3), ("H4", h4),
+        ("C1", c1), ("C2", c2), ("HC1", hc1), ("HC2", hc2))}
+    report["ok"] = all(rec["ok"] for rec in report.values())
     return report
 
 

@@ -553,6 +553,7 @@ CLI_GOLDENS = {
     ('lie-dim', '5'): '{"dim":24,"n":5}\n',
     ('lie-dim', '6'): '{"dim":120,"n":6}\n',
     ('lie-dim', '7'): '{"dim":720,"n":7}\n',
+    ('lie-dim', '8'): '{"dim":5040,"n":8}\n',
 }
 
 
@@ -566,6 +567,7 @@ def test_lie_and_trace_dim_goldens(args, capsys):
 TRACE_DIGESTS = {
     ('trace-dim', '6'): 'e680f4b53ae3fdc2e76d75c6a882d2281329188e4bac994fafc693cab2240446',
     ('trace-dim', '7'): '8b5b0dbb73734c0026dab1728b12f9175efbcb17ab5456a55d5d6ed0ad137ad1',
+    ('trace-dim', '8'): '08b75de06567d59cd4702f0e765f7fdca5613e5f2e43ed61d023d1c9fcad2b26',
 }
 
 

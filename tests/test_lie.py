@@ -133,12 +133,20 @@ def test_nf_antisymmetry_and_jacobi():
             assert all(v == 0 for v in total.values())
 
 
+def leaves(t):
+    return [t] if isinstance(t, int) else leaves(t[0]) + leaves(t[1])
+
+
 def test_normalize_combination_and_multilinearity():
     assert normalize({(1, 2): 2, (2, 1): 2}) == {}
-    with pytest.raises(NotMultilinear):
-        normalize((1, 1))
-    with pytest.raises(NotMultilinear):
-        normalize({((1, 2), 1): 1})
+    # A letter repeated inside one factor, across the two factors, and deep in
+    # a subtree; the message lists the tree's letters in order.
+    for t in ((1, 1), ((1, 1), 2), ((1, 2), 1), (3, ((1, (2, 4)), (5, 2))),
+              (((6, (2, 5)), 1), (4, (3, (5, 7))))):
+        for trees in (t, {t: 1}, {(8, 9): 1, t: 2}):
+            with pytest.raises(NotMultilinear) as exc:
+                normalize(trees)
+            assert str(exc.value) == "letters %r repeat" % (sorted(leaves(t)),)
 
 
 def test_nf_and_normalize_values_are_fractions():
@@ -281,9 +289,10 @@ def test_lie_dim_offers_one_bracketing_per_antisymmetry_class():
 
 
 def test_lie_dim_bound():
+    # lie_dim(8) == 5040 under the default bound is the `lie-dim 8` CLI golden.
     assert lie_dim(7) == 720
     with pytest.raises(BoundExceeded):
-        lie_dim(8)
+        lie_dim(9)
     with pytest.raises(BoundExceeded):
         lie_dim(0)
 
@@ -299,9 +308,9 @@ def test_trace_space_small_dims():
 
 
 def test_trace_space_bound():
-    assert TraceSpace(7).dim == 720
+    assert TraceSpace(8).dim == 5040
     with pytest.raises(BoundExceeded):
-        TraceSpace(8)
+        TraceSpace(9)
 
 
 def test_trace_space_stable_under_instance_doubling():
@@ -398,6 +407,46 @@ def test_relation_rows_are_rotations_of_words():
             r = ts._rep[w]
             assert r[-1] == n + 1 and r[:-1] in (w[k:-1] + w[:k] for k in range(n))
         assert len(set(ts._rep.values())) == math.factorial(n - 1)
+
+
+def two_pass_relation_row(p_tree, q_tree, n1, m1):
+    """Reference for ``_relation_row``: w2 is built as q with its last input
+    replaced by p shifted by m1, and then the two blocks of 1..n transposed."""
+    n = n1 + m1
+    q_shift = lie._map_letters(q_tree, lambda a: a + n1)
+    w1 = lie._map_letters(p_tree, lambda a: q_shift if a == n1 + 1 else a)
+    p_shift = lie._map_letters(p_tree, lambda a: a + m1)
+    w2 = lie._map_letters(q_tree, lambda a: p_shift if a == m1 + 1 else a)
+
+    def beta(a):
+        if a <= m1:
+            return a + n1
+        if a <= n:
+            return a - m1
+        return a  # the traced letter n+1
+
+    w2 = lie._map_letters(w2, beta)
+    row = lie._nf(w1)
+    for w, c in lie._nf(w2).items():
+        row[w] = row.get(w, 0) - c
+    return {w: c for w, c in row.items() if c}
+
+
+def test_relation_rows_equal_the_two_pass_reference():
+    # Every pair of in-order bracketings and every pair of basis words with
+    # n = n1 + m1 <= 5: the rows agree item for item, in order.
+    pairs = 0
+    for n in range(0, 6):
+        for n1 in range(0, n + 1):
+            m1 = n - n1
+            for trees in (lambda k: all_trees(range(1, k + 1)),
+                          lambda k: [word_to_tree(w) for w in basis_words(k)]):
+                for p, q in itertools.product(trees(n1 + 1), trees(m1 + 1)):
+                    row = lie._relation_row(p, q, n1, m1)
+                    want = two_pass_relation_row(p, q, n1, m1)
+                    assert list(row.items()) == list(want.items()), (p, q)
+                    pairs += 1
+    assert pairs == 596
 
 
 RELATION_ROW = lie._relation_row
@@ -606,7 +655,7 @@ class PlainEliminator(Eliminator):
         row = self.reduce(row)
         if not row:
             return False
-        self.pivots[self._pivot_key(row)] = row
+        self.pivots[min(row, key=repr)] = row
         return True
 
 
@@ -618,6 +667,14 @@ class CountingEliminator(Eliminator):
     def reduce(self, row):
         self.reductions += 1
         return super().reduce(row)
+
+
+def test_pivot_is_the_least_key_by_repr():
+    # "10" < "9": the pivot follows repr order, not the keys' own order.
+    elim = Eliminator()
+    assert elim.add({9: 1, 10: 1})
+    assert list(elim.pivots) == [10]
+    assert elim.reduce({9: 2, 10: 1}) == {9: 1}
 
 
 def test_saturation_skips_rows_inside_a_full_span():
@@ -684,11 +741,3 @@ def test_lie_dim_is_the_rank_of_every_sorted_tree():
         for t in lie._sorted_trees(tuple(range(1, n + 1))):
             plain.add(normalize(t))
         assert lie_dim(n) == plain.rank, n
-
-
-def test_nf_reads_no_letter_lists(monkeypatch):
-    def refused(t):
-        raise AssertionError("tree_letters(%r)" % (t,))
-
-    monkeypatch.setattr(lie, "tree_letters", refused)
-    assert lie_dim(6) == 120
